@@ -12,9 +12,11 @@ potential join points:
 Shape: all three scale roughly linearly with the join-point count, and
 none of them is paid per call afterwards (see E1/E2).
 
-This doubles as the DESIGN §6 ablation of stub-everywhere (pay at load)
-vs weave-on-demand (pay at insert): the two costs are reported separately
-so their trade-off is visible.
+Methods are hooked at load, because callers capture method references
+that a later re-stub would miss, so ``load_class`` pays for every method
+stub and an insert only recompiles dispatch cells.  A ``__setattr__``
+stub is planted by the first field advice and removed with the last; the
+method-only aspects here never pay for one.
 """
 
 import pytest
@@ -80,23 +82,6 @@ def test_f1_insert_scaling_with_resident_aspects(benchmark, aspects):
     vm.load_class(cls)
     for _ in range(aspects):
         vm.insert(make_aspect())
-
-    def round_trip():
-        aspect = make_aspect()
-        vm.insert(aspect)
-        vm.withdraw(aspect)
-
-    benchmark(round_trip)
-
-
-@pytest.mark.benchmark(group="f1-insert-mode-ablation")
-@pytest.mark.parametrize("mode", ["resident", "swap"])
-def test_f1_insert_cost_by_mode(benchmark, mode):
-    """The stub-everywhere vs weave-on-demand trade-off at insert time:
-    swap mode pays setattr + stub construction per activation."""
-    vm = ProseVM(mode=mode)
-    cls = make_class(100)
-    vm.load_class(cls)
 
     def round_trip():
         aspect = make_aspect()

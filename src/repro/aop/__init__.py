@@ -11,7 +11,7 @@ Our Python analogue keeps the same architecture:
 
 - :class:`~repro.aop.vm.ProseVM` "loads" classes by rewriting them in
   place — every method is replaced by a stub with a constant-cost fast
-  path, and ``__setattr__`` is stubbed for field-write join points.
+  path, and ``__setattr__`` is stubbed while field-write advice is active.
 - :class:`~repro.aop.aspect.Aspect` is the first-class extension unit;
   advice methods are declared with :func:`before` / :func:`after` /
   :func:`around` / :func:`after_throwing` decorators over crosscuts.
@@ -48,7 +48,7 @@ from repro.aop.sandbox import (
     current_sandbox,
 )
 from repro.aop.signature import MethodSignature, parse_signature
-from repro.aop.vm import RESIDENT, SWAP, ProseVM
+from repro.aop.vm import ProseVM
 
 __all__ = [
     "Advice",
@@ -67,9 +67,7 @@ __all__ = [
     "MethodCut",
     "MethodSignature",
     "ProseVM",
-    "RESIDENT",
     "REST",
-    "SWAP",
     "SandboxPolicy",
     "SystemGateway",
     "UnknownCapabilityWarning",

@@ -11,12 +11,17 @@ When a class is loaded, every method is replaced by a *stub* produced by
   the currently active advice; the stub delegates to it.  This is the
   interception path experiment E2 measures.
 
-Inserting or withdrawing an aspect edits the :class:`MethodHookTable` /
-:class:`FieldHookTable` advice lists and recompiles the cell, so the cost
-of (de)activation is paid at weave time, never per call.
+Inserting or withdrawing an aspect edits the :class:`MethodHookTable`
+advice lists and recompiles the cell, so the cost of (de)activation is
+paid at weave time, never per call.
 
 Field-write join points use a stubbed ``__setattr__``
-(:func:`make_setattr_stub`) with the same fast-path design.
+(:func:`make_setattr_stub`) that has no fast path: its
+:class:`FieldHookTable` plants it with the first field advice and takes it
+out again with the last, so an unadvised field write costs nothing.
+Methods cannot work that way, because callers capture bound methods and
+``Cls.method`` references that a later re-stub would miss; every field
+write, by contrast, looks up ``type(obj).__setattr__`` afresh.
 """
 
 from __future__ import annotations
@@ -77,7 +82,6 @@ class MethodHookTable:
         "owner",
         "cell",
         "interceptions",
-        "on_state_change",
         "_entries",
         "_seq",
         "_jp_label",
@@ -96,9 +100,6 @@ class MethodHookTable:
         #: Name of the VM (= node id on platform nodes) owning this hook;
         #: stamps dispatch-error events onto the right flight ring.
         self.owner = owner
-        #: Optional observer called with (table, active) when the hook
-        #: transitions between advised and unadvised (swap-mode weaving).
-        self.on_state_change: Callable[["MethodHookTable", bool], None] | None = None
         #: One-element list read by the stub: None, or the dispatch closure.
         self.cell: list[Callable[..., Any] | None] = [None]
         #: Number of times the slow (interception) path ran.
@@ -154,13 +155,8 @@ class MethodHookTable:
 
     def _recompile(self) -> None:
         if self.advice_count() == 0:
-            was_active = self.cell[0] is not None
             self.cell[0] = None
-            if was_active and self.on_state_change is not None:
-                self.on_state_change(self, False)
             return
-        was_active = self.cell[0] is not None
-
         befores = tuple(
             entry[2].callback
             for entry in sorted(self._entries[AdviceKind.BEFORE], key=_sort_key)
@@ -248,27 +244,27 @@ class MethodHookTable:
                 recorder.count("prose.interceptions", 1, joinpoint=jp_label)
 
         self.cell[0] = dispatch
-        if not was_active and self.on_state_change is not None:
-            self.on_state_change(self, True)
 
     def __repr__(self) -> str:
         return f"<MethodHookTable {self.joinpoint} advice={self.advice_count()}>"
 
 
-def _codegen_stub(table: MethodHookTable, style: str) -> Callable | None:
+def _codegen_stub(table: MethodHookTable) -> Callable | None:
     """Generate a stub with the original's exact signature.
 
     Avoiding ``*args`` packing on the fast path roughly halves the hook's
     constant cost — the Python analogue of keeping the minimal hook down
     to a couple of instructions.  Returns None for signatures the
-    generator does not handle (keyword-only parameters); the caller falls
-    back to the generic wrapper.
+    generator does not handle (keyword-only parameters, a receiver that
+    only ``*args`` holds); the caller falls back to the generic wrapper.
+    The signature is the function's own, not that of a ``__wrapped__``
+    function a decorator may have copied over.
     """
     import inspect
 
     original = table.original
     try:
-        signature = inspect.signature(original)
+        signature = inspect.signature(original, follow_wrapped=False)
     except (TypeError, ValueError):
         return None
 
@@ -294,9 +290,9 @@ def _codegen_stub(table: MethodHookTable, style: str) -> Callable | None:
         else:  # keyword-only: not worth the complexity here
             return None
 
-    if style == INSTANCE or style == CLASS:
-        if not tuple_items:
-            return None  # no receiver parameter: malformed method
+    if table.style == INSTANCE or table.style == CLASS:
+        if not tuple_items or tuple_items[0].startswith("*"):
+            return None  # no named receiver parameter
         target = tuple_items[0]
         rest = tuple_items[1:]
     else:  # STATIC
@@ -331,14 +327,13 @@ def _codegen_stub(table: MethodHookTable, style: str) -> Callable | None:
     return stub
 
 
-def make_method_stub(table: MethodHookTable, style: str | None = None) -> Callable:
+def make_method_stub(table: MethodHookTable) -> Callable:
     """Build the minimal-hook wrapper installed in place of a method."""
     original = table.original
     cell = table.cell
-    if style is None:
-        style = table.style
+    style = table.style
 
-    generated = _codegen_stub(table, style)
+    generated = _codegen_stub(table)
     if generated is not None:
         functools.update_wrapper(generated, original)
         generated.__prose_table__ = table  # type: ignore[attr-defined]
@@ -377,7 +372,8 @@ def make_method_stub(table: MethodHookTable, style: str | None = None) -> Callab
 
 
 class FieldHookTable:
-    """Per-class field-write advice registry.
+    """Per-class field-write advice registry and owner of the class's
+    ``__setattr__`` stub.
 
     Field names have no static declaration in Python, so entries hold
     (crosscut, advice) pairs and the compiled chain is cached per
@@ -385,18 +381,22 @@ class FieldHookTable:
     The dynamic type (``type(target)``) is used for type-pattern matching
     so a crosscut on a subclass works even when the ``__setattr__`` stub
     was installed on a base class.
+
+    The stub exists only while advice is active: the first :meth:`add`
+    plants it, and the last withdrawal or :meth:`restore` (on unload)
+    puts back the class's own or inherited ``__setattr__``.
     """
 
-    __slots__ = ("cls", "original_setattr", "cell", "interceptions",
-                 "on_state_change", "_entries", "_seq", "_chains")
+    __slots__ = ("cls", "original_setattr", "saved_setattr", "interceptions",
+                 "_entries", "_seq", "_chains")
 
-    def __init__(self, cls: type, original_setattr: Callable[..., None]):
+    def __init__(self, cls: type):
         self.cls = cls
-        self.original_setattr = original_setattr
-        self.cell: list[Callable[..., None] | None] = [None]
+        #: Set when the stub is planted: the ``__setattr__`` it forwards
+        #: writes to, and the class's own one it replaced (None if inherited).
+        self.original_setattr: Callable[..., None] = object.__setattr__
+        self.saved_setattr: Callable[..., None] | None = None
         self.interceptions = 0
-        #: Optional observer called with (table, active) on transitions.
-        self.on_state_change: Callable[["FieldHookTable", bool], None] | None = None
         self._entries: list[tuple[int, int, Advice]] = []
         self._seq = 0
         # (type, field) -> compiled (befores, afters, joinpoint) or None
@@ -408,6 +408,8 @@ class FieldHookTable:
 
     def add(self, advice: Advice, callback: Callable[..., Any]) -> None:
         """Activate field-write ``advice`` on this class's instances."""
+        if not self._entries:
+            self._plant()
         bound = Advice(
             advice.kind,
             advice.crosscut,
@@ -418,7 +420,7 @@ class FieldHookTable:
         )
         self._entries.append((advice.order, self._seq, bound))
         self._seq += 1
-        self._recompile()
+        self._chains.clear()
 
     def remove_aspect(self, aspect: object) -> int:
         """Deactivate all field advice contributed by ``aspect``."""
@@ -426,16 +428,30 @@ class FieldHookTable:
         removed = len(self._entries) - len(kept)
         if removed:
             self._entries = kept
-            self._recompile()
+            self._chains.clear()
+            if not kept:
+                self.restore()
         return removed
 
-    def _recompile(self) -> None:
-        self._chains.clear()
-        was_active = self.cell[0] is not None
-        self.cell[0] = self._dispatch if self._entries else None
-        is_active = self.cell[0] is not None
-        if was_active != is_active and self.on_state_change is not None:
-            self.on_state_change(self, is_active)
+    def _plant(self) -> None:
+        cls = self.cls
+        self.saved_setattr = vars(cls).get("__setattr__")
+        current = cls.__setattr__
+        # Already stubbed by an advised base (or another VM): forward to
+        # that stub's original, so a write is not intercepted twice.
+        stubbed = getattr(current, "__prose_field_table__", None)
+        self.original_setattr = current if stubbed is None else stubbed.original_setattr
+        cls.__setattr__ = make_setattr_stub(self)  # type: ignore[assignment]
+
+    def restore(self) -> None:
+        """Take out the stub if this table planted it."""
+        cls = self.cls
+        if getattr(vars(cls).get("__setattr__"), "__prose_field_table__", None) is not self:
+            return
+        if self.saved_setattr is None:
+            delattr(cls, "__setattr__")
+        else:
+            cls.__setattr__ = self.saved_setattr  # type: ignore[assignment]
 
     def _chain_for(self, cls: type, field: str) -> tuple | None:
         key = (cls, field)
@@ -482,16 +498,11 @@ class FieldHookTable:
 
 
 def make_setattr_stub(table: FieldHookTable) -> Callable[..., None]:
-    """Build the minimal-hook ``__setattr__`` replacement for a class."""
-    original = table.original_setattr
-    cell = table.cell
+    """Build the ``__setattr__`` stub planted while ``table`` has advice."""
+    dispatch = table._dispatch
 
     def prose_setattr(self: Any, name: str, value: Any) -> None:
-        dispatch = cell[0]
-        if dispatch is None:
-            original(self, name, value)
-        else:
-            dispatch(self, name, value)
+        dispatch(self, name, value)
 
     prose_setattr.__name__ = "__setattr__"
     prose_setattr.__qualname__ = f"{table.cls.__name__}.__setattr__"

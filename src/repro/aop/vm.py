@@ -4,9 +4,14 @@
 modified JVM.  Loading a class rewrites it in place:
 
 - every method defined on the class is replaced by a minimal-hook stub
-  (:mod:`repro.aop.hooks`), creating one method join point per method;
-- ``__setattr__`` is replaced by a field-write stub, creating field-write
-  join points lazily per assigned field.
+  (:mod:`repro.aop.hooks`), creating one method join point per method.
+  Methods are hooked at load, not on demand, because callers capture
+  bound methods and ``Cls.method`` references that a later re-stub
+  would miss;
+- field-write join points are created lazily per assigned field, through
+  a ``__setattr__`` stub that exists only while some field advice applies
+  to the class.  Every write looks up ``type(obj).__setattr__`` again,
+  so a stub planted later still sees all of them.
 
 Aspects are inserted and withdrawn at any time; insertion matches each
 advice's crosscut against every loaded join point and activates the
@@ -35,7 +40,6 @@ from repro.aop.hooks import (
     FieldHookTable,
     MethodHookTable,
     make_method_stub,
-    make_setattr_stub,
 )
 from repro.aop.joinpoint import JoinPoint, JoinPointKind
 from repro.aop.sandbox import AspectSandbox
@@ -70,18 +74,15 @@ def _is_weavable(name: str, value: object) -> tuple[bool, str]:
 class _LoadedClass:
     """Bookkeeping for one instrumented class."""
 
-    __slots__ = ("cls", "method_tables", "field_table", "saved_attrs",
-                 "saved_setattr", "had_own_setattr")
+    __slots__ = ("cls", "method_tables", "field_table", "saved_attrs")
 
     def __init__(self, cls: type):
         self.cls = cls
         # method name -> MethodHookTable
         self.method_tables: dict[str, MethodHookTable] = {}
-        self.field_table: FieldHookTable | None = None
+        self.field_table = FieldHookTable(cls)
         # original attribute objects, for unload
         self.saved_attrs: dict[str, Any] = {}
-        self.saved_setattr: Callable[..., None] | None = None
-        self.had_own_setattr = False
 
 
 class _Insertion:
@@ -149,28 +150,11 @@ class VMStats:
         )
 
 
-#: Hooks stay installed at every join point from class load on; aspects
-#: toggle dispatch cells.  The PROSE JIT model (E1 measures its cost).
-RESIDENT = "resident"
-#: Hooks are installed only while at least one advice is active at the
-#: join point, and removed again afterwards.  Zero overhead when
-#: unadvised, higher weave/unweave latency.  The DESIGN §6 ablation.
-SWAP = "swap"
-
-
 class ProseVM:
-    """A run-time weaver over ordinary Python classes.
+    """A run-time weaver over ordinary Python classes."""
 
-    ``mode`` selects the weaving strategy: :data:`RESIDENT` (default,
-    the paper's stub-everywhere design) or :data:`SWAP` (install hooks
-    on demand — the weave-on-demand alternative the evaluation ablates).
-    """
-
-    def __init__(self, name: str = "prose", mode: str = RESIDENT):
-        if mode not in (RESIDENT, SWAP):
-            raise WeaveError(f"unknown weaving mode {mode!r}")
+    def __init__(self, name: str = "prose"):
         self.name = name
-        self.mode = mode
         self.stats = VMStats(vm=name)
         #: Optional :class:`~repro.telemetry.profiler.JoinPointProfiler`
         #: (duck-typed: anything with ``wrap(advice, callback)`` and
@@ -240,13 +224,14 @@ class ProseVM:
             if not inherited:
                 record.saved_attrs[name] = raw
             record.method_tables[name] = table
-            if self.mode == RESIDENT:
-                self._install_method_stub(record, name, table)
-            else:
-                table.on_state_change = self._swap_method_hook(record, name)
+            stub: Any = make_method_stub(table)
+            if style == STATIC:
+                stub = staticmethod(stub)
+            elif style == CLASS:
+                stub = classmethod(stub)
+            setattr(cls, name, stub)
             self.stats.note("methods_stubbed")
 
-        self._stub_setattr(record)
         self.stats.note("classes_loaded")
 
         # Late loading: weave already-inserted aspects through the new class.
@@ -254,87 +239,21 @@ class ProseVM:
             self._register_on_class(insertion, record)
         return cls
 
-    def _install_method_stub(
-        self, record: _LoadedClass, name: str, table: MethodHookTable
-    ) -> None:
-        stub = make_method_stub(table)
-        wrapped: Any = stub
-        if table.style == STATIC:
-            wrapped = staticmethod(stub)
-        elif table.style == CLASS:
-            wrapped = classmethod(stub)
-        setattr(record.cls, name, wrapped)
-
-    def _restore_method(self, record: _LoadedClass, name: str) -> None:
-        if name in record.saved_attrs:
-            setattr(record.cls, name, record.saved_attrs[name])
-        else:
-            # Materialized inherited stub: remove the class-local copy.
-            try:
-                delattr(record.cls, name)
-            except AttributeError:
-                pass
-
-    def _swap_method_hook(self, record: _LoadedClass, name: str):
-        def on_state_change(table: MethodHookTable, active: bool) -> None:
-            if active:
-                self._install_method_stub(record, name, table)
-            else:
-                self._restore_method(record, name)
-
-        return on_state_change
-
-    def _stub_setattr(self, record: _LoadedClass) -> None:
-        cls = record.cls
-        record.had_own_setattr = "__setattr__" in vars(cls)
-        current = cls.__setattr__
-        if hasattr(current, "__prose_field_table__"):
-            # Inherited from an already-loaded base: share that table's
-            # machinery by installing a class-local stub over the same
-            # *original* so writes are not intercepted twice.
-            current = current.__prose_field_table__.original_setattr  # type: ignore[attr-defined]
-        record.saved_setattr = vars(cls).get("__setattr__")
-        table = FieldHookTable(cls, current)
-        record.field_table = table
-        if self.mode == RESIDENT:
-            cls.__setattr__ = make_setattr_stub(table)  # type: ignore[assignment]
-        else:
-            table.on_state_change = self._swap_field_hook(record)
-
-    def _swap_field_hook(self, record: _LoadedClass):
-        def on_state_change(table: FieldHookTable, active: bool) -> None:
-            if active:
-                record.cls.__setattr__ = make_setattr_stub(table)  # type: ignore[assignment]
-            else:
-                self._restore_setattr(record)
-
-        return on_state_change
-
-    def _restore_setattr(self, record: _LoadedClass) -> None:
-        cls = record.cls
-        if record.had_own_setattr and record.saved_setattr is not None:
-            cls.__setattr__ = record.saved_setattr  # type: ignore[assignment]
-        else:
-            try:
-                delattr(cls, "__setattr__")
-            except AttributeError:
-                pass
-
     def unload_class(self, cls: type) -> None:
         """Restore ``cls`` to its original, uninstrumented definition."""
         record = self._loaded.pop(cls, None)
         if record is None:
             raise ClassNotLoadedError(f"{cls!r} is not loaded in this VM")
         for name, table in record.method_tables.items():
-            table.on_state_change = None
-            self._restore_method(record, name)
+            if name in record.saved_attrs:
+                setattr(cls, name, record.saved_attrs[name])
+            else:
+                delattr(cls, name)  # materialized inherited stub
             for insertion in self._insertions.values():
                 insertion.tables.discard(table)
-        self._restore_setattr(record)
-        if record.field_table is not None:
-            record.field_table.on_state_change = None
-            for insertion in self._insertions.values():
-                insertion.tables.discard(record.field_table)
+        record.field_table.restore()
+        for insertion in self._insertions.values():
+            insertion.tables.discard(record.field_table)
 
     # -- join point queries ----------------------------------------------------
 
@@ -363,8 +282,7 @@ class ProseVM:
         for record in self._loaded.values():
             for table in record.method_tables.values():
                 total += table.interceptions
-            if record.field_table is not None:
-                total += record.field_table.interceptions
+            total += record.field_table.interceptions
         return total
 
     def table_for(self, cls: type, method: str) -> MethodHookTable:
@@ -475,9 +393,7 @@ class ProseVM:
     def _register_on_class(self, insertion: _Insertion, record: _LoadedClass) -> None:
         for advice, callback in insertion.advices:
             if isinstance(advice.crosscut, FieldWriteCut):
-                if record.field_table is not None and self._field_cut_relevant(
-                    advice.crosscut, record.cls
-                ):
+                if self._field_cut_relevant(advice.crosscut, record.cls):
                     record.field_table.add(advice, callback)
                     insertion.tables.add(record.field_table)
                 continue

@@ -13,8 +13,8 @@ The :class:`JoinPointProfiler` fills both gaps:
   causal timeline;
 - aggregate weave-cost accounting fed by the VM (time spent weaving and
   unweaving, per operation), so (de)activation cost is visible next to
-  per-call cost — the trade-off the paper's hook-cost experiments and
-  the SWAP-mode ablation are about.
+  per-call cost — the trade-off between the paper's hook-cost
+  experiments (E1/E2) and its weave-cost experiment (F1).
 
 Attach one to a VM (``vm.profiler = profiler``, or platform-wide with
 ``platform.enable_profiler()``) *before* aspects are inserted: the

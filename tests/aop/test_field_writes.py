@@ -130,6 +130,7 @@ class TestFieldInterception:
     def test_unload_restores_setattr(self, vm):
         cls = fresh_class()
         vm.load_class(cls)
+        vm.insert(FieldTraceAspect(type_pattern="Engine", field_pattern="rpm"))
         assert hasattr(cls.__setattr__, "__prose_field_table__")
         vm.unload_class(cls)
         assert not hasattr(cls.__setattr__, "__prose_field_table__")
@@ -155,3 +156,96 @@ class TestFieldInterception:
         assert obj.speed == 3
         assert "speed" in obj.history  # original __setattr__ still runs
         assert ("speed", None, 3) in aspect.writes
+
+
+class TestSetattrStubOnDemand:
+    """A class carries a ``__setattr__`` stub only while field advice
+    applies to it: every write looks up ``type(obj).__setattr__`` again,
+    so planting the stub late loses no write."""
+
+    def test_load_plants_no_stub(self, vm, cls):
+        assert "__setattr__" not in vars(cls)
+        engine = cls()
+        engine.rpm = 7
+        assert engine.rpm == 7
+
+    def test_stub_comes_on_insert_and_goes_on_withdraw(self, vm, cls):
+        engine = cls()  # created before the stub exists
+        aspect = FieldTraceAspect(type_pattern="Engine", field_pattern="rpm")
+        vm.insert(aspect)
+        assert "__setattr__" in vars(cls)
+        engine.rpm = 5
+        assert aspect.writes == [("rpm", 0, 5)]
+        vm.withdraw(aspect)
+        assert "__setattr__" not in vars(cls)
+        engine.rpm = 6
+        assert aspect.writes == [("rpm", 0, 5)]
+
+    def test_method_advice_plants_no_stub(self, vm, cls):
+        from tests.support import TraceAspect
+
+        vm.insert(TraceAspect(type_pattern="Engine"))
+        assert "__setattr__" not in vars(cls)
+
+    def test_stub_stays_while_second_aspect_remains(self, vm, cls):
+        first = FieldTraceAspect(type_pattern="Engine", field_pattern="rpm")
+        second = FieldTraceAspect(type_pattern="Engine", field_pattern="log")
+        vm.insert(first)
+        vm.insert(second)
+        vm.withdraw(first)
+        assert "__setattr__" in vars(cls)
+        engine = cls()
+        assert ("log", None, []) in second.writes
+        assert not any(write[0] == "rpm" for write in first.writes)
+        vm.withdraw(second)
+        assert "__setattr__" not in vars(cls)
+        engine.rpm = 1
+        assert engine.rpm == 1
+
+    def test_unload_while_advised_removes_stub(self, vm, cls):
+        aspect = FieldTraceAspect(type_pattern="Engine")
+        vm.insert(aspect)
+        vm.unload_class(cls)
+        assert "__setattr__" not in vars(cls)
+        aspect.writes.clear()
+        cls().rpm = 3
+        assert aspect.writes == []
+        vm.withdraw(aspect)  # the unloaded class is no longer touched
+        assert "__setattr__" not in vars(cls)
+
+    def test_own_setattr_restored_on_withdraw(self, vm):
+        class Custom:
+            def __setattr__(self, name, value):
+                object.__setattr__(self, name, value * 2)
+
+        own = vars(Custom)["__setattr__"]
+        vm.load_class(Custom)
+        aspect = FieldTraceAspect(type_pattern="Custom")
+        vm.insert(aspect)
+        assert vars(Custom)["__setattr__"] is not own
+        obj = Custom()
+        obj.speed = 2
+        assert obj.speed == 4
+        vm.withdraw(aspect)
+        assert vars(Custom)["__setattr__"] is own
+        vm.insert(aspect)
+        vm.unload_class(Custom)
+        assert vars(Custom)["__setattr__"] is own
+
+    @pytest.mark.parametrize("base_first", [True, False])
+    def test_loaded_base_and_subclass_intercept_once(self, vm, base_first):
+        base = fresh_class()
+
+        class Sub(base):
+            pass
+
+        for klass in ((base, Sub) if base_first else (Sub, base)):
+            vm.load_class(klass)
+        aspect = FieldTraceAspect(field_pattern="rpm")
+        vm.insert(aspect)
+        assert "__setattr__" in vars(base) and "__setattr__" in vars(Sub)
+        aspect.writes.clear()
+        Sub().rpm = 4
+        assert aspect.writes == [("rpm", None, 0), ("rpm", 0, 4)]
+        vm.withdraw(aspect)
+        assert "__setattr__" not in vars(base) and "__setattr__" not in vars(Sub)

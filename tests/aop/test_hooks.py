@@ -1,5 +1,7 @@
 """Hook-table unit tests (the dispatch machinery directly)."""
 
+import functools
+
 import pytest
 
 from repro.aop import Aspect, MethodCut, ProseVM
@@ -115,6 +117,45 @@ class TestCodegenStubs:
 
         vm.load_class(Weird)
         assert Weird().run(21) == 42
+
+    def test_signature_changing_decorator(self, vm):
+        def inject(fn):
+            @functools.wraps(fn)  # copies __wrapped__, not the signature
+            def wrapper(self, *args):
+                return fn(self, 42, *args)
+
+            return wrapper
+
+        class Decorated:
+            @inject
+            def add(self, x, y):
+                return x + y
+
+        assert Decorated().add(1) == 43
+        vm.load_class(Decorated)
+        assert Decorated().add(1) == 43
+        trace = TraceAspect(type_pattern="Decorated", method_pattern="add")
+        vm.insert(trace)
+        assert Decorated().add(1) == 43
+        assert trace.trace == [("add", (1,))]
+
+    def test_receiver_inside_var_positional(self, vm):
+        class Packed:
+            def count(*args):
+                return len(args)
+
+        vm.load_class(Packed)
+        seen = []
+        aspect = Aspect()
+        aspect.add_advice(
+            AdviceKind.BEFORE,
+            MethodCut(type="Packed", method="count"),
+            lambda ctx: seen.append((ctx.target, ctx.args)),
+        )
+        vm.insert(aspect)
+        obj = Packed()
+        assert obj.count(1, 2) == 3
+        assert seen == [(obj, (1, 2))]
 
     def test_exceptions_propagate_through_stub(self, vm):
         cls = fresh_class()

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.aop import Aspect, MethodCut, ProseVM, SWAP, before
+from repro.aop import Aspect, MethodCut, ProseVM, before
 from repro.aop.signature import parse_signature
 
-from tests.support import TraceAspect, Turbine, fresh_class
+from tests.support import TraceAspect, fresh_class
 
 
 class TestSignatureEdges:
@@ -19,25 +19,6 @@ class TestSignatureEdges:
         sig = parse_signature("void Motor.send*(bytes, ..)")
         text = repr(sig)
         assert "Motor" in text and "send*" in text
-
-
-class TestSwapModeInheritance:
-    def test_materialized_inherited_stub_removed_on_withdraw(self):
-        vm = ProseVM(mode=SWAP)
-        cls = fresh_class(Turbine)
-        vm.load_class(cls, include_inherited=True)
-        # 'throttle' is inherited from Engine and materialized lazily.
-        assert "throttle" not in vars(cls)
-        trace = TraceAspect(type_pattern="Turbine", method_pattern="throttle")
-        vm.insert(trace)
-        assert "throttle" in vars(cls)  # class-local stub installed
-        turbine = cls()
-        turbine.throttle(5)
-        assert trace.trace[-1] == ("throttle", (5,))
-        vm.withdraw(trace)
-        assert "throttle" not in vars(cls)  # back to plain inheritance
-        turbine.throttle(5)
-        vm.unload_class(cls)
 
 
 class TestVmMisc:

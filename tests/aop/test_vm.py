@@ -74,6 +74,21 @@ class TestClassLoading:
         assert "throttle" in members  # inherited from Engine
         assert "spool" in members
 
+    def test_unload_removes_materialized_inherited_stub(self, vm):
+        from tests.support import Turbine
+
+        cls = fresh_class(Turbine)
+        vm.load_class(cls, include_inherited=True)
+        assert "throttle" in vars(cls)  # class-local stub over Engine's
+        trace = TraceAspect(type_pattern="Turbine", method_pattern="throttle")
+        vm.insert(trace)
+        turbine = cls()
+        turbine.throttle(5)
+        assert trace.trace == [("throttle", (5,))]
+        vm.unload_class(cls)
+        assert "throttle" not in vars(cls)  # back to plain inheritance
+        assert turbine.throttle(5) == 10
+
     def test_staticmethods_are_stubbed(self, vm):
         class WithStatic:
             @staticmethod
@@ -221,6 +236,31 @@ class TestInsertWithdraw:
         vm.load_class(cls)
         cls().start()
         assert len(trace.trace) == 1
+
+
+class TestCapturedReferences:
+    """Methods are hooked at load because callers capture them: a bound
+    method or ``Cls.method`` taken before an insert must see its advice
+    (the robot task layer connects ``self._hardware_event`` this way)."""
+
+    def test_load_hooks_every_method(self, vm):
+        cls = fresh_class()
+        vm.load_class(cls)
+        for joinpoint in vm.joinpoints():
+            assert hasattr(vars(cls)[joinpoint.member], "__prose_table__")
+
+    def test_references_captured_before_insert_are_advised(self, vm):
+        cls = fresh_class()
+        vm.load_class(cls)
+        engine = cls()
+        bound = engine.throttle
+        unbound = cls.throttle
+        trace = TraceAspect(type_pattern="Engine", method_pattern="throttle")
+        vm.insert(trace)
+        engine.throttle(1)
+        bound(2)
+        unbound(engine, 3)
+        assert trace.trace == [("throttle", (1,)), ("throttle", (2,)), ("throttle", (3,))]
 
 
 class TestMultipleVMs:
