@@ -1,9 +1,13 @@
 """Network messages.
 
 A message carries a ``kind`` string used for handler dispatch and an
-arbitrary ``payload``.  The network deep-copies payloads on delivery, so
-two nodes can never accidentally share mutable state through a message —
-the same discipline a serializing network imposes.
+arbitrary ``payload``.  The network guarantees that no mutable state is
+shared between nodes through a message, the same discipline a
+serializing network imposes: each delivery hands the receiver its own
+copy of the payload, made by :func:`repro.net.wire.clone` (equal to
+``copy.deepcopy``).  The copy is taken at delivery, so a sender that
+mutates a payload after sending it and before it arrives changes what
+arrives.
 """
 
 from __future__ import annotations

@@ -6,12 +6,14 @@ partition separates them).  Latency is distance-dependent plus seeded
 jitter; loss is seeded-probabilistic.  All randomness comes from one
 ``random.Random(seed)``, so runs are reproducible.
 
-Payloads are deep-copied on delivery — see :mod:`repro.net.message`.
+Every delivery hands the receiver its own copy of the payload, taken
+with :func:`repro.net.wire.clone` when the message arrives (not when it
+is sent), so no mutable state is ever shared between nodes — see
+:mod:`repro.net.message`.
 """
 
 from __future__ import annotations
 
-import copy
 import logging
 import random
 from dataclasses import dataclass
@@ -20,6 +22,7 @@ from typing import Callable, Iterator
 from repro.errors import UnknownNodeError
 from repro.net.message import Message
 from repro.net.node import NetworkNode
+from repro.net.wire import clone
 from repro.sim.kernel import Simulator
 from repro.util.signal import Signal
 
@@ -88,11 +91,9 @@ class Network:
         simulator: Simulator,
         config: NetworkConfig | None = None,
         seed: int = 0,
-        copy_payloads: bool = True,
     ):
         self.simulator = simulator
         self.config = config or NetworkConfig()
-        self.copy_payloads = copy_payloads
         self._rng = random.Random(seed)
         self._nodes: dict[str, NetworkNode] = {}
         self._partitions: set[frozenset[str]] = set()
@@ -264,12 +265,12 @@ class Network:
         if destination is None:
             self._drop(message, "destination detached in flight")
             return
-        if self.copy_payloads and message.payload is not None:
+        if message.payload is not None:
             message = Message(
                 message.source,
                 message.destination,
                 message.kind,
-                copy.deepcopy(message.payload),
+                clone(message.payload),
                 message.message_id,
                 trace=message.trace,
             )

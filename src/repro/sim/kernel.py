@@ -21,8 +21,9 @@ logger = logging.getLogger(__name__)
 class Event:
     """A scheduled callback.  Returned by :meth:`Simulator.schedule`.
 
-    Hold on to the event to :meth:`cancel` it.  Events compare by
-    ``(time, seq)`` so the heap pops them in deterministic order.
+    Hold on to the event to :meth:`cancel` it.  The simulator's heap
+    holds ``(time, seq, event)`` entries, so it pops events in
+    deterministic ``(time, seq)`` order and compares them as tuples in C.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "kwargs", "canceled", "_sim", "_queued")
@@ -54,9 +55,6 @@ class Event:
         self.canceled = True
         if self._queued and self._sim is not None:
             self._sim._note_canceled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:
         state = "canceled" if self.canceled else "pending"
@@ -93,7 +91,7 @@ class Simulator:
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._live = 0
         self._running = False
@@ -129,10 +127,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {when} before current time {self._now}"
             )
-        event = Event(when, self._seq, fn, args, kwargs, sim=self)
-        self._seq += 1
+        seq = self._seq
+        event = Event(when, seq, fn, args, kwargs, sim=self)
+        self._seq = seq + 1
         self._live += 1
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (when, seq, event))
         return event
 
     def _note_canceled(self) -> None:
@@ -153,11 +152,12 @@ class Simulator:
     def _compact(self) -> None:
         """Rebuild the heap without canceled events (O(live))."""
         survivors = []
-        for event in self._queue:
+        for entry in self._queue:
+            event = entry[2]
             if event.canceled:
                 event._queued = False
             else:
-                survivors.append(event)
+                survivors.append(entry)
         self._queue = survivors
         heapq.heapify(self._queue)
         self.compactions += 1
@@ -165,7 +165,7 @@ class Simulator:
     def step(self) -> bool:
         """Run the next pending event.  Returns False if the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             event._queued = False
             if event.canceled:
                 continue
@@ -192,9 +192,9 @@ class Simulator:
             while self._queue:
                 if max_steps is not None and steps >= max_steps:
                     break
-                head = self._queue[0]
+                head = self._queue[0][2]
                 if head.canceled:
-                    heapq.heappop(self._queue)._queued = False
+                    heapq.heappop(self._queue)[2]._queued = False
                     continue
                 if until is not None and head.time > until:
                     break
