@@ -17,6 +17,10 @@ Both runs must finish with zero invariant violations — the benchmark
 doubles as the scenario acceptance gate at 5-10x test scale.  One
 trajectory row per full run lands in ``BENCH_storms.json``; all numbers
 are virtual-time / counter metrics, deterministic for the fixed seed.
+
+A sweep replays the 200-node roaming storms that ended dual-homed while
+anti-entropy went through the circuit breakers lost announcements open;
+each must now finish clean.
 """
 
 from __future__ import annotations
@@ -30,6 +34,14 @@ from repro.scenarios import StormReport, revocation_storm, roaming_storm, run_st
 
 SEED = 7
 NODES = 1000
+
+#: Seeds (of 0-99) whose ``roaming_storm(nodes=200, bases=3)`` broke
+#: single-home when anti-entropy shared the announcements' circuit
+#: breaker (listed in ``benchmarks/ledger/README.md``).
+FORMERLY_DIRTY_SEEDS = (
+    2, 6, 8, 11, 18, 20, 28, 30, 35, 48, 51,
+    57, 60, 64, 70, 71, 72, 74, 75, 87, 88, 95,
+)
 
 _cache: dict[str, StormReport] = {}
 
@@ -67,6 +79,12 @@ def test_x3_roam_storm_converges_clean():
     spec = report.spec
     assert report.last_dual_at is not None
     assert report.last_dual_at < spec.total_time - spec.grace
+
+
+@pytest.mark.parametrize("seed", FORMERLY_DIRTY_SEEDS)
+def test_x3_formerly_dirty_seeds_stay_clean(seed):
+    report = run_storm(roaming_storm(nodes=200, bases=3, seed=seed))
+    assert report.clean, report.violations
 
 
 def test_x3_revocation_completes():

@@ -19,6 +19,17 @@ import argparse
 import importlib
 import sys
 
+#: subcommand -> the module whose ``main(argv)`` runs it, imported only
+#: when its command runs.
+COMMANDS = {
+    "telemetry": "repro.telemetry.cli",
+    "inspect": "repro.telemetry.inspect",
+    "vet": "repro.vetting.cli",
+    "lint": "repro.analysis.cli",
+    "loadgen": "repro.loadgen.cli",
+    "ops": "repro.telemetry.health.tower",
+}
+
 #: scenario name -> (module under examples/, description)
 SCENARIOS = {
     "quickstart": "the two-layer model end to end (PROSE then MIDAS)",
@@ -45,30 +56,8 @@ def run_scenario(name: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "telemetry":
-        from repro.telemetry.cli import main as telemetry_main
-
-        return telemetry_main(argv[1:])
-    if argv and argv[0] == "inspect":
-        from repro.telemetry.inspect import main as inspect_main
-
-        return inspect_main(argv[1:])
-    if argv and argv[0] == "vet":
-        from repro.vetting.cli import main as vet_main
-
-        return vet_main(argv[1:])
-    if argv and argv[0] == "lint":
-        from repro.analysis.cli import main as lint_main
-
-        return lint_main(argv[1:])
-    if argv and argv[0] == "loadgen":
-        from repro.loadgen.cli import main as loadgen_main
-
-        return loadgen_main(argv[1:])
-    if argv and argv[0] == "ops":
-        from repro.telemetry.health.tower import main as ops_main
-
-        return ops_main(argv[1:])
+    if argv and argv[0] in COMMANDS:
+        return importlib.import_module(COMMANDS[argv[0]]).main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=(

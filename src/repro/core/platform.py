@@ -29,7 +29,7 @@ from repro.extensions.replication import MirrorHub
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.leasing.table import DEFAULT_DURATION
-from repro.midas.base import ExtensionBase
+from repro.midas.base import DEFAULT_ROAM_SYNC_INTERVAL, ExtensionBase
 from repro.midas.catalog import ExtensionCatalog
 from repro.midas.pipeline import PipelineConfig
 from repro.midas.receiver import AdaptationService
@@ -242,7 +242,7 @@ class ProactivePlatform:
         pipeline: PipelineConfig | None = None,
         lease_sweep_interval: float | None = None,
         renew_batch_interval: float | None = None,
-        roam_sync_interval: float | None = None,
+        roam_sync_interval: float = DEFAULT_ROAM_SYNC_INTERVAL,
     ):
         self.simulator = Simulator()
         self.network = Network(self.simulator, config=network_config, seed=seed)
@@ -253,9 +253,8 @@ class ProactivePlatform:
         #: keeps the classic exact per-lease timers.
         self.lease_sweep_interval = lease_sweep_interval
         self.renew_batch_interval = renew_batch_interval
-        #: When set, linked base stations run anti-entropy roam
-        #: reconciliation at this period (see ExtensionBase); None keeps
-        #: the classic announce-only roaming algorithm.
+        #: Period of the anti-entropy roam reconciliation linked base
+        #: stations run (see ExtensionBase).
         self.roam_sync_interval = roam_sync_interval
         #: Pipeline shape handed to every base station built here; None
         #: keeps the classic inline (single-worker, zero-service) mode.

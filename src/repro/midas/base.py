@@ -69,6 +69,9 @@ ROAM_SYNC = "midas.roam.sync"
 #: Term of the lease a base asks receivers to grant its extensions.
 DEFAULT_EXTENSION_LEASE = 10.0
 
+#: Period of the anti-entropy digest exchange between peer bases.
+DEFAULT_ROAM_SYNC_INTERVAL = 4.0
+
 #: ``(arrival time, base id)`` of a node's newest known arrival.  Epochs
 #: order totally (time first, base id breaking same-instant ties), so
 #: every roaming conflict — a reordered ROAMED, a duplicated one, two
@@ -124,7 +127,7 @@ class ExtensionBase:
         retry_policy: RetryPolicy | None = None,
         pipeline: PipelineConfig | None = None,
         renew_batch_interval: float | None = None,
-        roam_sync_interval: float | None = None,
+        roam_sync_interval: float = DEFAULT_ROAM_SYNC_INTERVAL,
     ):
         self.transport = transport
         self.simulator = simulator
@@ -175,10 +178,9 @@ class ExtensionBase:
         #: exchanges; consulted so a stale ROAMED cannot undo a later
         #: arrival and a reconcile cannot resurrect leases a roam dropped.
         self._roam_epochs: dict[str, RoamEpoch] = {}
-        #: When set, peer bases periodically exchange digests of their
-        #: adapted-node sets and resolve conflicts by newest roam epoch —
-        #: so even a permanently lost ROAMED converges within one
-        #: interval.  None keeps the classic announce-only behavior.
+        #: Peer bases exchange digests of their adapted-node sets this
+        #: often and resolve conflicts by newest roam epoch — so even a
+        #: permanently lost ROAMED converges within one interval.
         self.roam_sync_interval = roam_sync_interval
         self._roam_sync_timer: PeriodicTimer | None = None
         # ``renew_batch_interval`` puts all keepalives on one sweep timer
@@ -677,21 +679,16 @@ class ExtensionBase:
 
     def link_peer_base(self, base_node_id: str) -> None:
         """Tell this base about a peer base for the roaming algorithm."""
-        if base_node_id != self.node_id and base_node_id not in self._peer_bases:
-            self._peer_bases.append(base_node_id)
-            self._ensure_roam_sync()
-
-    def _ensure_roam_sync(self) -> None:
-        if self.roam_sync_interval is None or self._roam_sync_timer is not None:
+        if base_node_id == self.node_id or base_node_id in self._peer_bases:
             return
-        if not self._peer_bases:
-            return
-        self._roam_sync_timer = PeriodicTimer(
-            self.simulator,
-            self.roam_sync_interval,
-            self._roam_sync_tick,
-            name=f"{self.node_id}.roam-sync",
-        ).start()
+        self._peer_bases.append(base_node_id)
+        if self._roam_sync_timer is None:
+            self._roam_sync_timer = PeriodicTimer(
+                self.simulator,
+                self.roam_sync_interval,
+                self._roam_sync_tick,
+                name=f"{self.node_id}.roam-sync",
+            ).start()
 
     def _note_arrival(self, node_id: str) -> None:
         """Record that ``node_id`` is here, now — if that beats what we know."""
@@ -703,25 +700,21 @@ class ExtensionBase:
     def _announce_roaming(self, node_id: str) -> None:
         """Tell every peer base ``node_id`` arrived here.
 
-        With a retry policy the announcement rides the resilient client
-        (retries with backoff within the lease-term deadline) and counts
-        ``midas.roam.announce_failed`` when retries exhaust — anti-entropy
-        then owns convergence.  Without one it is the paper's classic
-        fire-and-forget notify.
+        The announcement is a request whose reply is the peer's
+        acknowledgement.  With a retry policy it rides the resilient
+        client (retries with backoff within the lease-term deadline);
+        without one it is sent once.  A failed announcement counts
+        ``midas.roam.announce_failed`` — anti-entropy then owns
+        convergence.
         """
         epoch = self._roam_epochs.get(node_id, (self.simulator.now, self.node_id))
         recorder = _telemetry.get_recorder()
         for peer in self._peer_bases:
-            body = {"node_id": node_id, "epoch": [epoch[0], epoch[1]]}
             recorder.count("midas.roam.announced", node=self.node_id, peer=peer)
-            if self._client is None:
-                # lint: allow(proto.mixed-send-modes) — the classic path is the paper's fire-and-forget notify; _serve_roamed is epoch-idempotent, so undeduped duplicates are harmless
-                self.transport.notify(peer, ROAMED, body)
-                continue
-            self._client.call(
+            self._request(
                 peer,
                 ROAMED,
-                body,
+                {"node_id": node_id, "epoch": [epoch[0], epoch[1]]},
                 on_reply=lambda reply: None,
                 on_error=lambda error, peer=peer: self._announce_failed(
                     node_id, peer, error
@@ -747,29 +740,26 @@ class ExtensionBase:
         )
 
     def _serve_roamed(self, sender: str, body: dict) -> dict:
+        # Parsed before queueing, so an announcement without a roam epoch
+        # — which cannot be ordered against what we know — is an error
+        # reply, not a job.
+        node_id, raw = body["node_id"], body["epoch"]
+        epoch: RoamEpoch = (float(raw[0]), str(raw[1]))
         accepted = self._submit(
-            sender, "roamed", lambda: self._handle_roamed(sender, body)
+            sender, "roamed", lambda: self._handle_roamed(node_id, epoch)
         )
         # The reply doubles as an acknowledgement for retrying announcers.
         return {"accepted": accepted}
 
-    def _handle_roamed(self, sender: str, body: dict) -> None:
+    def _handle_roamed(self, node_id: str, epoch: RoamEpoch) -> None:
         """Apply one ROAMED announcement — idempotently, and in order.
 
-        The announcement carries the arrival's roam epoch; anything at or
-        below what we already know (a duplicate delivery, or a stale
-        announcement reordered behind a later arrival here) is ignored.
-        Unknown nodes are recorded too: a late reconcile must not re-offer
-        to a node that provably lives elsewhere now.
+        Anything at or below the epoch we already know (a duplicate
+        delivery, or a stale announcement reordered behind a later
+        arrival here) is ignored.  Unknown nodes are recorded too: a late
+        reconcile must not re-offer to a node that provably lives
+        elsewhere now.
         """
-        node_id = body["node_id"]
-        raw = body.get("epoch")
-        if raw is None:
-            # Pre-epoch announcer: synthesize "arrived at sender just now",
-            # which preserves the classic always-drop behavior.
-            epoch: RoamEpoch = (self.simulator.now, sender)
-        else:
-            epoch = (float(raw[0]), str(raw[1]))
         known = self._roam_epochs.get(node_id)
         recorder = _telemetry.get_recorder()
         if known is not None and epoch <= known:
@@ -820,6 +810,13 @@ class ExtensionBase:
             self._send_roam_sync(peer, digest)
 
     def _send_roam_sync(self, peer: str, digest: dict[str, list]) -> None:
+        """One anti-entropy exchange with ``peer``, on the plain transport.
+
+        Not through the resilient client: the next tick is the retry, and
+        the client's circuit to a peer is the one lost ROAMED attempts
+        open — behind it, the exchange that repairs lost announcements
+        would be refused exactly when it is needed.
+        """
         recorder = _telemetry.get_recorder()
         recorder.count("midas.roam.sync_sent", node=self.node_id, peer=peer)
 
@@ -831,7 +828,9 @@ class ExtensionBase:
         def on_error(error: Exception) -> None:
             recorder.count("midas.roam.sync_failed", node=self.node_id, peer=peer)
 
-        self._request(peer, ROAM_SYNC, {"adapted": digest}, on_reply, on_error)
+        self.transport.request(
+            peer, ROAM_SYNC, {"adapted": digest}, on_reply=on_reply, on_error=on_error
+        )
 
     def _serve_roam_sync(self, sender: str, body: dict) -> dict:
         """Anti-entropy exchange: merge the peer's claims, return ours.

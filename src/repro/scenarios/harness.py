@@ -230,8 +230,8 @@ def plant_dual_home(world: StormWorld, node_id: str, at: float) -> str:
 
     At ``at``, ``node_id`` registers at a peer base while its old base's
     ROAMED announcement is suppressed by pointing the announcer at an
-    empty peer list — the bases never hear about the move, so with
-    reconciliation off the node stays dual-homed until the registrar
+    empty peer list and anti-entropy is stopped — the bases never hear
+    about the move, so the node stays dual-homed until the registrar
     backstop (past any reasonable ``grace``).
     """
 

@@ -25,6 +25,8 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
+from repro.midas.base import DEFAULT_ROAM_SYNC_INTERVAL
+
 
 @dataclass(frozen=True)
 class StormSpec:
@@ -66,12 +68,10 @@ class StormSpec:
 
     # -- roaming hardening (the knobs under test) -------------------------------
     #: Retry budget for ROAMED announcements (and offers/revokes).
-    #: 0 disables the retry policy entirely: the paper's classic
-    #: fire-and-forget roaming, which storms exist to break.
+    #: 0 disables the retry policy: each announcement is sent once.
     announce_attempts: int = 3
-    #: Anti-entropy digest-exchange period between peer bases; None
-    #: disables reconciliation (announce-only).
-    roam_sync_interval: float | None = 4.0
+    #: Anti-entropy digest-exchange period between peer bases.
+    roam_sync_interval: float = DEFAULT_ROAM_SYNC_INTERVAL
 
     # -- invariant monitor ------------------------------------------------------
     monitor_interval: float = 1.0
@@ -107,8 +107,6 @@ class StormSpec:
     #: Probability the network eats each ROAMED announcement (retries
     #: included — each retry is a fresh draw).
     drop_roamed: float = 0.0
-    #: Probability the network eats each anti-entropy exchange.
-    drop_sync: float = 0.0
     #: Base-backbone partition/heal cycles during the storm window.
     partition_cycles: int = 0
     partition_down: float = 3.0
@@ -136,6 +134,8 @@ class StormSpec:
             raise ValueError("migrate_fraction must be in [0, 1]")
         if not (0.0 <= self.churn_fraction <= 1.0):
             raise ValueError("churn_fraction must be in [0, 1]")
+        if self.roam_sync_interval <= 0:
+            raise ValueError("roam_sync_interval must be > 0")
         if self.grace <= self.monitor_interval:
             raise ValueError("grace must exceed the monitor interval")
         if self.revoke_at is not None and not (

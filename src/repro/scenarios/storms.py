@@ -22,7 +22,7 @@ from itertools import combinations
 from repro.core.platform import ProactivePlatform
 from repro.extensions.call_logging import CallLogging
 from repro.faults.plan import FaultPlan
-from repro.midas.base import ROAM_SYNC, ROAMED
+from repro.midas.base import ROAMED
 from repro.net.geometry import ORIGIN
 from repro.net.node import NetworkNode
 from repro.net.transport import Transport
@@ -223,17 +223,10 @@ class StormWorld:
     # -- faults ------------------------------------------------------------------
 
     def _install_faults(self) -> None:
-        spec = self.spec
-        plan = FaultPlan()
-        rules = False
-        if spec.drop_roamed > 0:
-            plan.drop(operation=ROAMED, probability=spec.drop_roamed)
-            rules = True
-        if spec.drop_sync > 0:
-            plan.drop(operation=ROAM_SYNC, probability=spec.drop_sync)
-            rules = True
-        if rules:
-            self.platform.install_faults(plan)
+        if self.spec.drop_roamed > 0:
+            self.platform.install_faults(
+                FaultPlan().drop(operation=ROAMED, probability=self.spec.drop_roamed)
+            )
 
     # -- the storm plan ----------------------------------------------------------
 

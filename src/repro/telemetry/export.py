@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import IO, Any, Iterable, Union
 
-from repro.telemetry.metrics import format_labels
+from repro.telemetry.metrics import bucket_quantile, format_labels
 from repro.telemetry.registry import MetricsRegistry
 
 Records = list[dict[str, Any]]
@@ -109,19 +109,11 @@ def _histogram_stats(
 def _quantiles_from_buckets(
     record: dict[str, Any], qs: tuple[float, ...]
 ) -> list[float]:
-    buckets, counts, total = record["buckets"], record["counts"], record["count"]
-    out = []
-    for q in qs:
-        rank = q * total
-        seen = 0
-        value = record["max"] or 0.0
-        for index, bucket_count in enumerate(counts):
-            seen += bucket_count
-            if seen >= rank and bucket_count:
-                value = buckets[index] if index < len(buckets) else (record["max"] or 0.0)
-                break
-        out.append(value)
-    return out
+    overflow = record["max"] or 0.0
+    return [
+        bucket_quantile(record["buckets"], record["counts"], record["count"], q, overflow)
+        for q in qs
+    ]
 
 
 def _si(value: float | None) -> str:

@@ -19,6 +19,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable
 
+from repro.telemetry.metrics import bucket_quantile
+
 #: Default number of slices per window: fine enough that the stale tail
 #: (one slice) is <9% of the window, coarse enough to stay cheap.
 DEFAULT_SLICES = 12
@@ -205,15 +207,7 @@ class WindowedBuckets(_SlidingRing):
         total = self.count(now)
         if total == 0:
             return 0.0
-        rank = q * total
-        seen = 0
-        for index, bucket_count in enumerate(self._totals):
-            seen += bucket_count
-            if seen >= rank and bucket_count:
-                if index < len(self.bounds):
-                    return self.bounds[index]
-                return self.bounds[-1]
-        return self.bounds[-1]
+        return bucket_quantile(self.bounds, self._totals, total, q, self.bounds[-1])
 
     def over_threshold_fraction(self, now: float, threshold: float) -> float:
         """Fraction of windowed observations whose bucket bound exceeds

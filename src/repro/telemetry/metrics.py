@@ -15,7 +15,7 @@ pipeline (Prometheus, OpenTelemetry) relies on.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 #: Label sets are stored as a sorted tuple of items so instruments hash
 #: and compare regardless of keyword order at the call site.
@@ -29,6 +29,30 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0,
 )
+
+
+def bucket_quantile(
+    bounds: Sequence[float],
+    counts: Sequence[int],
+    total: int,
+    q: float,
+    overflow: float,
+) -> float:
+    """Bucket-resolution estimate of the ``q``-quantile of ``total`` values.
+
+    ``counts`` holds one count per upper bound in ``bounds`` plus the
+    overflow bucket.  Returns the bound of the first non-empty bucket
+    whose cumulative count reaches rank ``q * total``; ``overflow``
+    stands in for the overflow bucket's missing bound and for a rank no
+    bucket reaches.
+    """
+    rank = q * total
+    seen = 0
+    for index, bucket_count in enumerate(counts):
+        seen += bucket_count
+        if seen >= rank and bucket_count:
+            return bounds[index] if index < len(bounds) else overflow
+    return overflow
 
 
 def label_key(labels: Mapping[str, Any]) -> LabelKey:
@@ -160,15 +184,9 @@ class Histogram:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if self.count == 0:
             return 0.0
-        rank = q * self.count
-        seen = 0
-        for index, bucket_count in enumerate(self.counts):
-            seen += bucket_count
-            if seen >= rank and bucket_count:
-                if index < len(self.buckets):
-                    return self.buckets[index]
-                return self.max if self.max is not None else 0.0
-        return self.max if self.max is not None else 0.0
+        return bucket_quantile(
+            self.buckets, self.counts, self.count, q, self.max or 0.0
+        )
 
     def to_record(self) -> dict[str, Any]:
         """The exportable (JSONL) form of this histogram."""

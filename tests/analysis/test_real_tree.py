@@ -48,12 +48,16 @@ class TestRealTree:
         ]
         assert unguarded == []
 
-    def test_roamed_mixed_mode_is_waived_not_hidden(self, repo_src):
-        """The classic fire-and-forget ROAMED notify stays, justified by
-        an inline waiver (the handler is epoch-idempotent)."""
+    def test_no_op_is_sent_in_mixed_modes(self, repo_src):
+        """Every op is either requested or notified, never both — not
+        even behind a waiver or a baseline entry (ROAMED is only ever an
+        acknowledged request)."""
         result = _real_result(repo_src)
-        waived_rules = {f.rule for f in result.waived}
-        assert F.RULE_MIXED_SEND_MODES in waived_rules
+        mixed = [
+            f for f in result.findings + result.waived + result.baselined
+            if f.rule == F.RULE_MIXED_SEND_MODES
+        ]
+        assert mixed == []
 
     def test_dynamic_ops_are_baselined_with_justifications(self, repo_src):
         baseline = load_baseline(repo_src / DEFAULT_BASELINE_NAME)

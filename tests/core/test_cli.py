@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.__main__ import SCENARIOS, main
+from repro.__main__ import COMMANDS, SCENARIOS, main
 
 
 class TestCli:
@@ -11,6 +11,14 @@ class TestCli:
         out = capsys.readouterr().out
         for name in SCENARIOS:
             assert name in out
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_every_subcommand_dispatches(self, name, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([name, "--help"])
+        assert exit_info.value.code == 0
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage.startswith("usage:") and f" {name} " in usage
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):

@@ -15,16 +15,16 @@ import pytest
 from repro.core.platform import ProactivePlatform
 from repro.extensions.call_logging import CallLogging
 from repro.faults.plan import FaultPlan
-from repro.midas.base import ROAMED
+from repro.midas.base import DEFAULT_ROAM_SYNC_INTERVAL, ROAMED
 from repro.net.geometry import ORIGIN
 from repro.net.node import NetworkNode
-from repro.net.transport import Transport
+from repro.net.transport import RemoteError, Transport
 from repro.resilience.policy import RetryPolicy
 from repro.scenarios.nodes import StormNode
 
 
-def build_world(retry: bool = True, sync: float | None = None):
-    """Two linked bases + one storm node, telemetry on."""
+def build_platform(retry: bool = True, sync: float = DEFAULT_ROAM_SYNC_INTERVAL):
+    """Two linked bases, each with one extension, telemetry on."""
     platform = ProactivePlatform(
         seed=5,
         lease_duration=6.0,
@@ -42,11 +42,20 @@ def build_world(retry: bool = True, sync: float | None = None):
     ]
     for station in stations:
         station.add_extension("roam-ext", lambda: CallLogging(type_pattern="X"))
-    device = platform.network.attach(NetworkNode("dev-1", ORIGIN))
-    node = StormNode(
-        1, Transport(device, platform.simulator), platform.simulator, "class-a", 30.0
+    return platform, registry, stations[0].extension_base, stations[1].extension_base
+
+
+def storm_node(platform, index: int) -> StormNode:
+    device = platform.network.attach(NetworkNode(f"dev-{index}", ORIGIN))
+    return StormNode(
+        index, Transport(device, platform.simulator), platform.simulator, "class-a", 30.0
     )
-    return platform, registry, stations[0].extension_base, stations[1].extension_base, node
+
+
+def build_world(retry: bool = True, sync: float = DEFAULT_ROAM_SYNC_INTERVAL):
+    """Two linked bases + one storm node, telemetry on."""
+    platform, registry, base_a, base_b = build_platform(retry, sync)
+    return platform, registry, base_a, base_b, storm_node(platform, 1)
 
 
 def tracks(base, node_id: str) -> bool:
@@ -58,7 +67,7 @@ def tracks(base, node_id: str) -> bool:
 
 def test_roamed_for_unknown_node_is_recorded():
     platform, registry, base_a, base_b, node = build_world()
-    base_a._handle_roamed("base-b", {"node_id": "ghost", "epoch": [5.0, "base-b"]})
+    base_a._serve_roamed("base-b", {"node_id": "ghost", "epoch": [5.0, "base-b"]})
     assert base_a._roam_epochs["ghost"] == (5.0, "base-b")
     kinds = [e.kind for e in registry.flight.events("base-a")]
     assert "midas.roam.recorded" in kinds
@@ -67,8 +76,8 @@ def test_roamed_for_unknown_node_is_recorded():
 def test_duplicate_roamed_is_ignored():
     platform, registry, base_a, _base_b, _node = build_world()
     body = {"node_id": "ghost", "epoch": [5.0, "base-b"]}
-    base_a._handle_roamed("base-b", body)
-    base_a._handle_roamed("base-b", dict(body))
+    base_a._serve_roamed("base-b", body)
+    base_a._serve_roamed("base-b", dict(body))
     assert registry.counter_total("midas.roam.stale_ignored") == 1
     assert base_a._roam_epochs["ghost"] == (5.0, "base-b")
 
@@ -76,19 +85,19 @@ def test_duplicate_roamed_is_ignored():
 def test_reordered_stale_roamed_loses_to_newer_epoch():
     platform, registry, base_a, _base_b, _node = build_world()
     # The *newer* arrival (at base-c) is delivered first ...
-    base_a._handle_roamed("base-c", {"node_id": "ghost", "epoch": [9.0, "base-c"]})
+    base_a._serve_roamed("base-c", {"node_id": "ghost", "epoch": [9.0, "base-c"]})
     # ... and the older one (base-b) straggles in afterwards: ignored.
-    base_a._handle_roamed("base-b", {"node_id": "ghost", "epoch": [4.0, "base-b"]})
+    base_a._serve_roamed("base-b", {"node_id": "ghost", "epoch": [4.0, "base-b"]})
     assert base_a._roam_epochs["ghost"] == (9.0, "base-c")
     assert registry.counter_total("midas.roam.stale_ignored") == 1
     # A genuinely newer arrival still wins.
-    base_a._handle_roamed("base-d", {"node_id": "ghost", "epoch": [11.0, "base-d"]})
+    base_a._serve_roamed("base-d", {"node_id": "ghost", "epoch": [11.0, "base-d"]})
     assert base_a._roam_epochs["ghost"] == (11.0, "base-d")
 
 
 def test_recorded_roam_refuses_late_nonfresh_adapt():
     platform, registry, base_a, _base_b, _node = build_world()
-    base_a._handle_roamed("base-b", {"node_id": "ghost", "epoch": [5.0, "base-b"]})
+    base_a._serve_roamed("base-b", {"node_id": "ghost", "epoch": [5.0, "base-b"]})
     # A late reconcile pass (non-fresh sighting) must not resurrect it ...
     base_a.adapt_node("ghost")
     assert not tracks(base_a, "ghost")
@@ -100,15 +109,26 @@ def test_recorded_roam_refuses_late_nonfresh_adapt():
     assert base_a._roam_epochs["ghost"][1] == "base-a"
 
 
-def test_legacy_roamed_without_epoch_still_drops(sim):
+def test_roamed_without_epoch_is_refused_with_an_error_reply():
     platform, registry, base_a, base_b, node = build_world()
     node.join("base-a")
     platform.run_for(3.0)
+    arrival = base_a._roam_epochs["dev-1"]
+    errors = []
+    for node_id in ("dev-1", "ghost"):
+        base_b.transport.request(
+            "base-a",
+            ROAMED,
+            {"node_id": node_id},
+            on_reply=lambda body: pytest.fail(f"acknowledged: {body}"),
+            on_error=errors.append,
+        )
+    platform.run_for(1.0)
+    assert [type(error) for error in errors] == [RemoteError, RemoteError]
+    # An announcement that cannot be ordered changes nothing.
     assert tracks(base_a, "dev-1")
-    # A pre-epoch announcer sends no epoch: classic always-drop holds.
-    base_a._handle_roamed("base-b", {"node_id": "dev-1"})
-    assert not tracks(base_a, "dev-1")
-    assert base_a._roam_epochs["dev-1"][1] == "base-b"
+    assert base_a._roam_epochs["dev-1"] == arrival
+    assert "ghost" not in base_a._roam_epochs
 
 
 # -- the live announcement path ---------------------------------------------------
@@ -164,3 +184,23 @@ def test_roam_sync_resolves_conflict_toward_newest_epoch():
     reply = base_a._serve_roam_sync("base-b", {"adapted": {"ghost": [12.0, "base-b"]}})
     assert reply["conflicts"] == {}
     assert base_a._roam_epochs["ghost"] == (12.0, "base-b")
+
+
+def test_anti_entropy_is_not_stalled_by_circuits_lost_announcements_opened():
+    """Lost announcements open the announcer's circuit to its peer; the
+    anti-entropy exchange with that peer must still get through."""
+    platform, registry, base_a, base_b = build_platform(sync=4.0)
+    platform.install_faults(FaultPlan().drop(operation=ROAMED))
+    nodes = [storm_node(platform, index) for index in range(1, 13)]
+    for position, node in enumerate(nodes):
+        node.join("base-a" if position % 2 == 0 else "base-b")
+    platform.run_for(4.5)
+    for node in nodes:
+        node.migrate("base-b" if node.home == "base-a" else "base-a")
+    platform.run_for(6.0)
+    assert base_a.resilient_client.breaker("base-b").times_opened >= 1
+    assert base_b.resilient_client.breaker("base-a").times_opened >= 1
+    for base in (base_a, base_b):
+        assert base.adapted_nodes() == sorted(
+            node.node_id for node in nodes if node.home == base.node_id
+        )

@@ -35,11 +35,11 @@ RUNS = {
 }
 
 GOLDEN = {
-    "roaming-60-seed7": "b0e30eb6020433539b6c86f79b9dc53e7b4e26aa40b2c4b80a0caebf302ec87e",
-    "roaming-60-seed9": "610a347e1e8bfce19302a96d99df041ae8233de1dceea22b95f92ad71a15f365",
-    "roaming-60-seed2": "91e57d8aab19b2a3d5da736d1a5859e2c136618b23476870683f652afe533d65",
-    "revocation-seed3": "189fed19a95170697bf541b94dd3a77e8e80b279a31ed507a41715d2e88e5f88",
-    "partition-seed3": "017695b2dd57a5432984c15ed6ca150b85042acff81bea9b208d8bc1df01554c",
+    "roaming-60-seed7": "20d09c81717c021b99e34e868f78b86b7469e9e0f8db6333fd70fc26a3603641",
+    "roaming-60-seed9": "4c5d1b089ccacc293ff780fc546cbb3b8d7305ec50f3c1680310d7d2d8ae6e65",
+    "roaming-60-seed2": "76f0e3e539fdaa2567ab4fc59f0f1bf3234fe32aee89930356b9dfde297b0cad",
+    "revocation-seed3": "da7fd6a07fcde72351db91aa5d30790546f4d93f248859a1ac58113ca3bfb3f0",
+    "partition-seed3": "508d7413c8d99d93751011bceb7f86e9a5ba400ae9d0b522c80dbc1def913dcc",
     "fleet-drive-2-shards": "f3ec0f2a72e3a87df76dff0ff60aad953d958c06f8fa9f4f1f37876c2ca0c894",
 }
 

@@ -2,7 +2,7 @@
 
 The mutation test is the monitor's own proof of life: surgically create
 the dual-home state a lost ROAMED announcement would leave behind
-(reconciliation off, announcements severed) and assert the monitor
+(announcements severed, anti-entropy stopped) and assert the monitor
 reports *exactly* that violation, with a causal flight-recorder trace
 that shows the silent migration.
 """
@@ -30,12 +30,11 @@ MUTATION_SPEC = StormSpec(
     nodes=30,
     duration=20.0,
     settle=25.0,
-    # No storm of its own, and no self-healing: announcements are
-    # fire-and-forget and reconciliation is off, so the planted silent
+    # No storm of its own, and no retries; plant_dual_home severs the
+    # announcements and stops anti-entropy, so the planted silent
     # migration has nothing to save it.
     migrate_fraction=0.0,
     announce_attempts=0,
-    roam_sync_interval=None,
 )
 
 

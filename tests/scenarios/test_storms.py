@@ -150,19 +150,20 @@ def test_soak_mixes_everything_and_stays_clean():
     assert report.revocation_cleared_at is not None
 
 
-def test_fire_and_forget_baseline_is_actually_broken():
-    """The hardening is load-bearing: turn it off and the storm bites.
+def test_fire_and_forget_baseline_is_actually_broken(fire_and_forget):
+    """The hardening is load-bearing: without it the storm bites.
 
-    Classic fire-and-forget announcements with no reconciliation, 100%
-    announcement loss: migrated nodes stay dual-homed until the
+    The paper's fire-and-forget announcements with no reconciliation,
+    100% announcement loss: migrated nodes stay dual-homed until the
     registrar backstop, which the monitor's grace deliberately beats.
     """
-    spec = CHAOS.with_overrides(
-        seed=7,
-        drop_roamed=1.0,
-        announce_attempts=0,
-        roam_sync_interval=None,
-    )
-    report = run_storm(spec)
+    spec = CHAOS.with_overrides(seed=7, drop_roamed=1.0, announce_attempts=0)
+    world = fire_and_forget(StormWorld(spec))
+    try:
+        world.run_for(spec.total_time)
+        world.monitor.tick()
+        report = report_from(world)
+    finally:
+        world.close()
     assert not report.clean
     assert {v.invariant for v in report.violations} == {"single-home"}
