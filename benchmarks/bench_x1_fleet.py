@@ -136,26 +136,29 @@ def test_x1_fixed_seed_is_deterministic():
 def lease_timer_events(batched: bool, leases: int = 10_000, horizon: float = 20.0) -> int:
     """Kernel events consumed keeping ``leases`` alive for ``horizon`` s.
 
-    Exact mode: one expiry timer per lease (rescheduled per renewal) and
-    one renewal timer per lease per period.  Batched mode: one sweep
-    timer per table plus one batch timer per agent, whatever the lease
-    count.
+    Each lease is held by its own holder, one lease per leaf as in the
+    fleet.  Exact mode: one expiry timer per lease (rescheduled per
+    renewal) and one renewal round per holder per period.  Batched mode:
+    one sweep timer per table plus one batch timer per agent, whatever
+    the lease count.
     """
     sim = Simulator()
     table = LeaseTable(
         sim, name="bench", sweep_interval=2.0 if batched else None
     )
 
-    def renew(tracked, on_success, on_failure):
-        table.renew(tracked.lease_id)
-        on_success()
+    def renew(batch, on_success, on_failure):
+        for tracked in batch:
+            table.renew(tracked.lease_id)
+            on_success(tracked)
 
     agent = RenewalAgent(
         sim, renew, interval=2.0, batch_interval=2.0 if batched else None
     )
     for index in range(leases):
-        lease = table.grant(f"holder-{index}", index, duration=10.0)
-        agent.track(lease.lease_id, "base", duration=10.0)
+        holder = f"holder-{index}"
+        lease = table.grant(holder, index, duration=10.0)
+        agent.track(lease.lease_id, holder, duration=10.0)
     steps = sim.run(until=horizon)
     agent.stop()
     return steps

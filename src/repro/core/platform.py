@@ -250,7 +250,8 @@ class ProactivePlatform:
         #: Fleet-scale batching knobs (see :mod:`repro.fleet`): lease
         #: tables sweep in batches instead of one timer per lease, and
         #: base keepalives ride one sweep timer per station.  ``None``
-        #: keeps the classic exact per-lease timers.
+        #: keeps the exact timers: one per lease in a table, one per
+        #: node for keepalive rounds.
         self.lease_sweep_interval = lease_sweep_interval
         self.renew_batch_interval = renew_batch_interval
         #: Period of the anti-entropy roam reconciliation linked base

@@ -132,7 +132,7 @@ class DiscoveryClient:
         self._subscription_counter = 0
         self._renewer = RenewalAgent(
             simulator,
-            self._renew_lease,
+            self._renew_leases,
             name=f"{self.node_id}.discovery",
             backoff=retry_policy,
         )
@@ -415,11 +415,22 @@ class DiscoveryClient:
 
     # -- renewal plumbing ----------------------------------------------------------------------
 
+    def _renew_leases(
+        self,
+        batch: list[TrackedLease],
+        on_success: Callable[[TrackedLease], None],
+        on_failure: Callable[[TrackedLease, Exception], None],
+    ) -> None:
+        # A registrar renews one lease per request: the round's leases
+        # go out one ``lookup.renew`` each.
+        for tracked in batch:
+            self._renew_lease(tracked, on_success, on_failure)
+
     def _renew_lease(
         self,
         tracked: TrackedLease,
-        on_success: Callable[[], None],
-        on_failure: Callable[[Exception], None],
+        on_success: Callable[[TrackedLease], None],
+        on_failure: Callable[[TrackedLease, Exception], None],
     ) -> None:
         def on_error(exc: Exception) -> None:
             if isinstance(exc, RemoteError):
@@ -429,13 +440,13 @@ class DiscoveryClient:
                 # so ``_lease_abandoned`` takes a fresh registration now.
                 self._renewer.abandon(tracked.lease_id)
                 return
-            on_failure(exc)
+            on_failure(tracked, exc)
 
         self.transport.request(
             tracked.peer,
             RENEW,
             {"lease_id": tracked.lease_id},
-            on_reply=lambda body: on_success(),
+            on_reply=lambda body: on_success(tracked),
             on_error=on_error,
         )
 

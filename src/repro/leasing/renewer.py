@@ -1,26 +1,39 @@
 """The active (renewing) side of the lease protocol.
 
 A :class:`RenewalAgent` periodically invokes a caller-supplied renewal
-function for every lease it tracks.  The extension base uses one to keep
+function for the leases it tracks.  The extension base uses one to keep
 alive the extensions it has distributed ("it is the responsibility of each
 extension base to keep alive the functionality it has distributed among
 nodes", §3.2); the discovery client uses one to keep its service
 registrations alive at the lookup service.
 
-Each lease is renewed on its *own* schedule — every
-``RENEW_FRACTION × duration`` seconds — so a 2-second registration and a
-30-second extension lease coexist under one agent.  At most one renewal
-per lease is in flight at a time: a round that comes due while the
-previous one is still outstanding is *coalesced* (skipped, with the
-schedule kept), never stacked.
+Leases are renewed in *per-peer rounds*, the way Jini's
+``LeaseRenewalManager`` renews every lease held with one grantor in one
+``LeaseMap.renewAll`` call.  Each lease keeps its own period —
+``RENEW_FRACTION × duration`` — and its own due time, but the agent
+keeps one timer per *peer*: a round fires when the earliest of that
+peer's leases comes due and hands the renew function every lease held
+with the peer that is not already in flight, in tracking order.  A node
+holding k extensions from one base therefore costs one renewal call per
+round, not k, and a lease tracked mid-period rides the next round,
+never later than its own due time.  Forgetting the lease that set a
+peer's round moves the round to the next lease due, so a lease replaced
+before it is due never causes a round.  With one lease per peer a round
+is exactly one lease's renewal, on that lease's own schedule.
 
-At fleet scale one kernel event per lease per round is the bottleneck,
-so ``batch_interval`` switches the agent to a single periodic sweep
-(one timer per *agent*): each tick renews every lease whose round is
-due, preserving cadence/coalescing/failure semantics at tick
+At most one renewal per lease is in flight at a time: a lease that
+comes due while its previous renewal is still outstanding is
+*coalesced* (skipped, with the schedule kept), never stacked.
+
+At fleet scale even one kernel event per peer per round is the
+bottleneck, so ``batch_interval`` switches the agent to a single
+periodic sweep (one timer per *agent*): each tick runs the round of
+every peer with a lease due, building the same per-peer batches at tick
 resolution.  See :mod:`repro.fleet` for the subsystem built on this.
 
-Failure handling comes in two flavors:
+Outcomes are settled per lease — the renew function reports each lease
+of a batch to ``on_success(tracked)`` or ``on_failure(tracked, error)``
+— and failure handling comes in two flavors:
 
 - **legacy counting** (no ``backoff``): failures are counted per lease
   and after ``max_failures`` consecutive failures the lease is abandoned
@@ -29,7 +42,8 @@ Failure handling comes in two flavors:
 - **backoff** (a :class:`~repro.resilience.policy.RetryPolicy`): a
   failed renewal is retried after an exponentially growing, seeded-
   jittered delay (capped at the renewal period) instead of waiting a
-  full period, and the lease is abandoned only once the peer has been
+  full period — the retry moves that lease's due time, and with it the
+  peer's round — and the lease is abandoned only once the peer has been
   *silent* for the same overall budget the counting mode allows
   (``max_failures × period``).  Denser attempts under loss, identical
   patience — convergence improves without abandoning earlier.
@@ -65,11 +79,18 @@ RENEW_FRACTION = 0.3
 #: means the peer is really gone, not just a lossy spell.
 DEFAULT_MAX_FAILURES = 6
 
-# The renew function receives (tracked lease record) and two callbacks:
-# success() and failure(exc).  It is expected to be asynchronous (a
-# transport request); the agent never blocks.
+# The renew function receives one peer's batch of tracked leases and two
+# per-lease callbacks: on_success(tracked) and on_failure(tracked, exc).
+# It must settle every lease of the batch through one of them, and is
+# expected to be asynchronous (a transport request); the agent never
+# blocks.
 RenewFunction = Callable[
-    ["TrackedLease", Callable[[], None], Callable[[Exception], None]], None
+    [
+        list["TrackedLease"],
+        Callable[["TrackedLease"], None],
+        Callable[["TrackedLease", Exception], None],
+    ],
+    None,
 ]
 
 
@@ -99,8 +120,8 @@ class TrackedLease:
         #: Simulated time of the last successful renewal (or of tracking
         #: start) — the silence deadline in backoff mode measures from here.
         self.last_success = 0.0
-        #: When the next renewal round is due (batched mode only; the
-        #: per-lease mode keeps its own timer per lease instead).
+        #: When this lease next comes due.  The peer's round fires at the
+        #: earliest due time among its leases.
         self.next_due = 0.0
 
     def __repr__(self) -> str:
@@ -111,7 +132,7 @@ class TrackedLease:
 
 
 class RenewalAgent:
-    """Renews each tracked lease on its own per-duration schedule."""
+    """Renews tracked leases in per-peer rounds, each on its own period."""
 
     def __init__(
         self,
@@ -130,14 +151,14 @@ class RenewalAgent:
         self.interval = interval
         self.max_failures = max_failures
         self.name = name
-        #: Batched mode: one periodic sweep timer for the *whole agent*
-        #: instead of one kernel event per tracked lease.  Each tick
-        #: renews every lease whose round is due; per-lease cadence,
-        #: coalescing, failure counting and backoff semantics are
-        #: unchanged, but due-times are only observed at tick resolution
-        #: (renewals fire up to ``batch_interval`` late — keep it well
-        #: under the shortest ``RENEW_FRACTION × duration``).  ``None``
-        #: keeps the classic per-lease timers.
+        #: Sweep mode: one periodic timer for the *whole agent* instead of
+        #: one kernel event per peer round.  Each tick runs the round of
+        #: every peer with a lease due; cadence, coalescing, failure
+        #: counting and backoff are unchanged, but due times are only
+        #: observed at tick resolution (renewals fire up to
+        #: ``batch_interval`` late — keep it well under the shortest
+        #: ``RENEW_FRACTION × duration``).  ``None`` keeps one timer per
+        #: peer.
         self.batch_interval = batch_interval
         #: Retry policy for failed renewals; None keeps legacy counting.
         self.backoff = backoff
@@ -148,10 +169,13 @@ class RenewalAgent:
         #: Fires with (tracked_lease,) on every successful renewal.
         self.on_renewed = Signal(f"{name}.on_renewed")
         self._tracked: dict[str, TrackedLease] = {}
-        self._timers: dict[str, Event] = {}
+        #: peer -> its tracked leases, in tracking order.
+        self._peers: dict[str, dict[str, TrackedLease]] = {}
+        #: peer -> the timer of its next round (timer mode only).
+        self._rounds: dict[str, Event] = {}
         self._in_flight: set[str] = set()
         self._batch_event: Event | None = None
-        #: Number of batch sweep ticks run (batched mode only).
+        #: Number of batch sweep ticks run (sweep mode only).
         self.batch_ticks = 0
         self.coalesced = 0
         self._stopped = False
@@ -166,25 +190,50 @@ class RenewalAgent:
         resource: Any = None,
         context: Any = None,
     ) -> TrackedLease:
-        """Start renewing ``lease_id`` held with ``peer``."""
+        """Start renewing ``lease_id`` held with ``peer``.
+
+        The lease rides the peer's next round, which is pulled earlier
+        if the lease would otherwise come due before it.
+        """
+        if lease_id in self._tracked:
+            self.forget(lease_id)
         tracked = TrackedLease(lease_id, peer, duration, resource, context)
-        tracked.last_success = self.simulator.now
+        now = self.simulator.now
+        tracked.last_success = now
+        tracked.next_due = now + self._period_of(tracked)
         self._tracked[lease_id] = tracked
+        self._peers.setdefault(peer, {})[lease_id] = tracked
         self._stopped = False
         if self.batch_interval is not None:
-            tracked.next_due = self.simulator.now + self._period_of(tracked)
             self._arm_batch()
         else:
-            self._schedule(tracked)
+            timer = self._rounds.get(peer)
+            if timer is None or tracked.next_due < timer.time:
+                self._arm(peer)
         return tracked
 
     def forget(self, lease_id: str) -> TrackedLease | None:
-        """Stop renewing ``lease_id`` (returns the record, if tracked)."""
+        """Stop renewing ``lease_id`` (returns the record, if tracked).
+
+        If the lease set its peer's round, the round moves to the next
+        lease due — or goes away with the peer's last lease.
+        """
         tracked = self._tracked.pop(lease_id, None)
-        timer = self._timers.pop(lease_id, None)
-        if timer is not None:
-            timer.cancel()
         self._in_flight.discard(lease_id)
+        if tracked is None:
+            return None
+        peer = tracked.peer
+        leases = self._peers[peer]
+        del leases[lease_id]
+        if not leases:
+            del self._peers[peer]
+            timer = self._rounds.pop(peer, None)
+            if timer is not None:
+                timer.cancel()
+        else:
+            timer = self._rounds.get(peer)
+            if timer is not None and tracked.next_due <= timer.time:
+                self._arm(peer)
         return tracked
 
     def abandon(self, lease_id: str) -> TrackedLease | None:
@@ -213,9 +262,9 @@ class RenewalAgent:
     def stop(self) -> None:
         """Stop all renewal activity (tracked set preserved)."""
         self._stopped = True
-        for timer in self._timers.values():
+        for timer in self._rounds.values():
             timer.cancel()
-        self._timers.clear()
+        self._rounds.clear()
         self._in_flight.clear()
         if self._batch_event is not None:
             self._batch_event.cancel()
@@ -224,7 +273,7 @@ class RenewalAgent:
     def __len__(self) -> int:
         return len(self._tracked)
 
-    # -- per-lease scheduling -----------------------------------------------------
+    # -- schedules ------------------------------------------------------------------
 
     def _period_of(self, tracked: TrackedLease) -> float:
         if self.interval is not None:
@@ -237,19 +286,24 @@ class RenewalAgent:
         ``max_failures`` consecutive period-spaced failures."""
         return self.max_failures * self._period_of(tracked)
 
-    def _schedule(self, tracked: TrackedLease, delay: float | None = None) -> None:
-        if self._stopped:
+    def _arm(self, peer: str) -> None:
+        """Point ``peer``'s round timer at its earliest due lease."""
+        leases = self._peers.get(peer)
+        if self._stopped or not leases:
             return
-        old = self._timers.pop(tracked.lease_id, None)
-        if old is not None:
-            old.cancel()
-        self._timers[tracked.lease_id] = self.simulator.schedule(
-            self._period_of(tracked) if delay is None else delay,
-            self._renew_now,
-            tracked.lease_id,
+        due = max(
+            min(tracked.next_due for tracked in leases.values()), self.simulator.now
         )
+        timer = self._rounds.get(peer)
+        if timer is not None:
+            if timer.time == due:
+                return
+            timer.cancel()
+        self._rounds[peer] = self.simulator.schedule_at(due, self._round_due, peer)
 
-    # -- batched scheduling -------------------------------------------------------
+    def _round_due(self, peer: str) -> None:
+        del self._rounds[peer]
+        self._round(peer)
 
     def _arm_batch(self) -> None:
         if self._stopped or self._batch_event is not None:
@@ -259,114 +313,101 @@ class RenewalAgent:
         )
 
     def _batch_tick(self) -> None:
-        """One sweep over every tracked lease: renew all rounds now due.
+        """One sweep: run the round of every peer with a lease due.
 
         This is the fleet-scale discipline — one kernel event per agent
-        per interval, however many leases it carries.  Iteration is in
-        tracking order (dict insertion), so renewal order is
-        deterministic.
+        per interval, however many peers and leases it carries.  Peers
+        are visited in the order their leases were first tracked, so
+        renewal order is deterministic.
         """
         self._batch_event = None
         self.batch_ticks += 1
         now = self.simulator.now
-        recorder = _telemetry.get_recorder()
-        for tracked in list(self._tracked.values()):
-            if tracked.next_due > now:
-                continue
-            # Advance the cadence first, exactly like the per-lease mode
-            # schedules the next round before invoking the renewal.
-            tracked.next_due = now + self._period_of(tracked)
-            if tracked.lease_id in self._in_flight:
-                self.coalesced += 1
-                recorder.count("lease.renewals.coalesced", agent=self.name)
-                continue
-            self._in_flight.add(tracked.lease_id)
-            self.renew_function(
-                tracked,
-                self._success_callback(tracked),
-                self._failure_callback(tracked),
-            )
+        for peer in list(self._peers):
+            leases = self._peers.get(peer)
+            if leases and any(t.next_due <= now for t in leases.values()):
+                self._round(peer)
         if self._tracked:
             self._arm_batch()
 
-    def _renew_now(self, lease_id: str) -> None:
-        self._timers.pop(lease_id, None)
-        tracked = self._tracked.get(lease_id)
-        if tracked is None:
+    # -- rounds -----------------------------------------------------------------------
+
+    def _round(self, peer: str) -> None:
+        """Renew, in one call, every lease held with ``peer`` not in flight.
+
+        Every lease sent starts a fresh period.  A lease that came due
+        while its previous renewal is still on the wire is coalesced —
+        its cadence kept, no second request stacked.
+        """
+        leases = self._peers.get(peer)
+        if not leases:
             return
-        if lease_id in self._in_flight:
-            # A round came due while the previous renewal is still on the
-            # wire: coalesce — keep the cadence, never stack requests.
-            self.coalesced += 1
-            _telemetry.get_recorder().count(
-                "lease.renewals.coalesced", agent=self.name
-            )
-            self._schedule(tracked)
-            return
-        self._in_flight.add(lease_id)
-        # Schedule the next round *before* invoking the renew function: a
+        now = self.simulator.now
+        batch = []
+        for tracked in leases.values():
+            if tracked.lease_id in self._in_flight:
+                if tracked.next_due <= now:
+                    tracked.next_due = now + self._period_of(tracked)
+                    self.coalesced += 1
+                    _telemetry.get_recorder().count(
+                        "lease.renewals.coalesced", agent=self.name
+                    )
+                continue
+            tracked.next_due = now + self._period_of(tracked)
+            self._in_flight.add(tracked.lease_id)
+            batch.append(tracked)
+        # Arm the next round *before* invoking the renew function: a
         # renewal in flight does not delay the cadence, and an outcome
-        # callback that fires synchronously (tests, local peers) must be
-        # able to override this timer with a backoff retry.
-        self._schedule(tracked)
-        self.renew_function(
-            tracked,
-            self._success_callback(tracked),
-            self._failure_callback(tracked),
+        # that arrives synchronously (tests, local peers) must be able to
+        # move it with a backoff retry.
+        if self.batch_interval is None:
+            self._arm(peer)
+        if batch:
+            self.renew_function(batch, self._succeeded, self._failed)
+
+    def _succeeded(self, tracked: TrackedLease) -> None:
+        self._in_flight.discard(tracked.lease_id)
+        if tracked.lease_id in self._tracked:
+            tracked.failures = 0
+            tracked.last_success = self.simulator.now
+            self.on_renewed.fire(tracked)
+
+    def _failed(self, tracked: TrackedLease, error: Exception) -> None:
+        self._in_flight.discard(tracked.lease_id)
+        if tracked.lease_id not in self._tracked:
+            return
+        tracked.failures += 1
+        logger.debug(
+            "%s: renewal of %s failed (%d): %s",
+            self.name,
+            tracked.lease_id,
+            tracked.failures,
+            error,
         )
-
-    def _success_callback(self, tracked: TrackedLease) -> Callable[[], None]:
-        def on_success() -> None:
-            self._in_flight.discard(tracked.lease_id)
-            if tracked.lease_id in self._tracked:
-                tracked.failures = 0
-                tracked.last_success = self.simulator.now
-                self.on_renewed.fire(tracked)
-
-        return on_success
-
-    def _failure_callback(self, tracked: TrackedLease) -> Callable[[Exception], None]:
-        def on_failure(error: Exception) -> None:
-            self._in_flight.discard(tracked.lease_id)
-            if tracked.lease_id not in self._tracked:
-                return
-            tracked.failures += 1
-            logger.debug(
-                "%s: renewal of %s failed (%d): %s",
-                self.name,
-                tracked.lease_id,
-                tracked.failures,
-                error,
-            )
-            if self.backoff is None:
-                if tracked.failures >= self.max_failures:
-                    self.forget(tracked.lease_id)
-                    self.on_abandoned.fire(tracked)
-                return
-            silence = self.simulator.now - tracked.last_success
-            if silence >= self._silence_budget(tracked):
+        if self.backoff is None:
+            if tracked.failures >= self.max_failures:
                 self.forget(tracked.lease_id)
-                _telemetry.get_recorder().count(
-                    "lease.renewals.abandoned", agent=self.name, outcome="silence"
-                )
                 self.on_abandoned.fire(tracked)
-                return
-            # Retry sooner than the next period, backing off per failure.
-            delay = min(
-                self.backoff.backoff(tracked.failures, self._rng),
-                self._period_of(tracked),
-            )
+            return
+        silence = self.simulator.now - tracked.last_success
+        if silence >= self._silence_budget(tracked):
+            self.forget(tracked.lease_id)
             _telemetry.get_recorder().count(
-                "lease.renewals.retried", agent=self.name
+                "lease.renewals.abandoned", agent=self.name, outcome="silence"
             )
-            if self.batch_interval is not None:
-                # Batched mode: no extra kernel event — the retry lands
-                # on the first sweep tick at/after the backoff delay.
-                tracked.next_due = self.simulator.now + delay
-            else:
-                self._schedule(tracked, delay=delay)
-
-        return on_failure
+            self.on_abandoned.fire(tracked)
+            return
+        # Retry sooner than the next period, backing off per failure.
+        delay = min(
+            self.backoff.backoff(tracked.failures, self._rng),
+            self._period_of(tracked),
+        )
+        _telemetry.get_recorder().count("lease.renewals.retried", agent=self.name)
+        tracked.next_due = self.simulator.now + delay
+        if self.batch_interval is None:
+            # The peer's round follows its earliest due lease; in sweep
+            # mode the retry lands on the first tick at/after the delay.
+            self._arm(tracked.peer)
 
     def __repr__(self) -> str:
         return f"<RenewalAgent {self.name} tracked={len(self._tracked)}>"

@@ -10,8 +10,9 @@ An :class:`ExtensionBase`:
   remote events when running as a pure peer) and pushes every catalog
   extension to each newly seen node;
 - keeps distributed extensions alive by sending ``midas.keepalive``
-  renewals; when a node stops answering, the base abandons its leases
-  (the node's own expiry already withdrew the extension there);
+  renewals — one per node per round, carrying every lease id the base
+  holds there; when a node stops answering, the base abandons its
+  leases (the node's own expiry already withdrew the extension there);
 - supports revocation on demand and *replacement* — re-adding an
   extension under the same name bumps its version and re-offers it to
   every adapted node, which swaps the old copy for the new one;
@@ -547,7 +548,7 @@ class ExtensionBase:
 
         A single ``midas.keepalive`` request carries all of the node's
         lease ids (the receiver renews them in one pass), ahead of the
-        per-lease renewal schedule.  Useful after a roaming return or a
+        renewal agent's next round.  Useful after a roaming return or a
         recovery — and the natural "renew" operation for closed-loop
         load generators.  ``on_done`` receives the number of leases the
         peer confirmed.
@@ -562,51 +563,20 @@ class ExtensionBase:
                 on_done(0)
             return
 
-        def on_shed(error: PipelineOverloadError) -> None:
+        def on_reply(renewed: list[str]) -> None:
+            if on_done is not None:
+                on_done(len(renewed))
+
+        def on_fail(error: Exception) -> None:
             if on_error is not None:
                 on_error(error)
 
         self._submit(
             node_id,
             "renew",
-            lambda: self._do_renew_node(node_id, lease_ids, on_done, on_error),
-            on_shed=on_shed,
+            lambda: self._keepalive(node_id, lease_ids, None, on_reply, on_fail),
+            on_shed=on_fail,
         )
-
-    def _do_renew_node(
-        self,
-        node_id: str,
-        lease_ids: list[str],
-        on_done: Callable[[int], None] | None,
-        on_error: Callable[[Exception], None] | None,
-    ) -> None:
-        span = _telemetry.get_recorder().start_span(
-            "midas.keepalive",
-            parent=None,
-            node=self.node_id,
-            target=node_id,
-            batch=len(lease_ids),
-        )
-
-        def on_reply(body: dict) -> None:
-            renewed = body.get("renewed", ())
-            span.end(renewed=len(renewed))
-            if on_done is not None:
-                on_done(len(renewed))
-
-        def on_fail(error: Exception) -> None:
-            span.end(status="error", error=str(error))
-            if on_error is not None:
-                on_error(error)
-
-        with span.activate():
-            self.transport.request(
-                node_id,
-                KEEPALIVE,
-                {"lease_ids": lease_ids},
-                on_reply=on_reply,
-                on_error=on_fail,
-            )
 
     def replace_extension(self, name: str, factory: ExtensionFactory) -> None:
         """Swap the catalog entry for ``name`` and re-adapt all its holders.
@@ -703,9 +673,10 @@ class ExtensionBase:
         The announcement is a request whose reply is the peer's
         acknowledgement.  With a retry policy it rides the resilient
         client (retries with backoff within the lease-term deadline);
-        without one it is sent once.  A failed announcement counts
-        ``midas.roam.announce_failed`` — anti-entropy then owns
-        convergence.
+        without one it is sent once.  A failed announcement — one that
+        errs, or that the peer's pipeline shed (an ``accepted: False``
+        reply) — counts ``midas.roam.announce_failed``; anti-entropy then
+        owns convergence.
         """
         epoch = self._roam_epochs.get(node_id, (self.simulator.now, self.node_id))
         recorder = _telemetry.get_recorder()
@@ -715,10 +686,18 @@ class ExtensionBase:
                 peer,
                 ROAMED,
                 {"node_id": node_id, "epoch": [epoch[0], epoch[1]]},
-                on_reply=lambda reply: None,
+                on_reply=lambda reply, peer=peer: self._announce_acknowledged(
+                    node_id, peer, reply
+                ),
                 on_error=lambda error, peer=peer: self._announce_failed(
                     node_id, peer, error
                 ),
+            )
+
+    def _announce_acknowledged(self, node_id: str, peer: str, reply: dict) -> None:
+        if not reply.get("accepted"):
+            self._announce_failed(
+                node_id, peer, PipelineOverloadError(f"{peer} shed the announcement")
             )
 
     def _announce_failed(self, node_id: str, peer: str, error: Exception) -> None:
@@ -891,59 +870,93 @@ class ExtensionBase:
 
     def _send_keepalive(
         self,
-        tracked: TrackedLease,
-        on_success: Callable[[], None],
-        on_failure: Callable[[Exception], None],
+        batch: list[TrackedLease],
+        on_success: Callable[[TrackedLease], None],
+        on_failure: Callable[[TrackedLease, Exception], None],
     ) -> None:
-        # Shedding a keepalive looks like any other send failure to the
-        # renewal agent: it backs off and retries within the silence
-        # budget, so a transient overload does not abandon leases.
-        self._submit(
-            tracked.peer,
-            "renew",
-            lambda: self._do_keepalive(tracked, on_success, on_failure),
-            on_shed=on_failure,
-        )
+        """One renewal round with one node: a single keepalive for ``batch``.
 
-    def _do_keepalive(
+        Each lease is settled from the reply: a renewed id succeeds; an
+        id the node no longer holds is abandoned at once — it withdrew
+        the extension (expiry during a lossy spell) or crashed and lost
+        everything, and no number of keepalives can revive a dead lease,
+        so the reconciler re-offers on its next pass instead of
+        lease-terms later.  A failed request, or a shed job, fails every
+        lease of the batch: the agent backs off and retries within the
+        silence budget, so a transient overload does not abandon leases.
+        """
+        node_id = batch[0].peer
+
+        def on_reply(renewed: list[str]) -> None:
+            for tracked in batch:
+                if tracked.lease_id in renewed:
+                    on_success(tracked)
+                else:
+                    self._renewer.abandon(tracked.lease_id)
+
+        def on_fail(error: Exception) -> None:
+            for tracked in batch:
+                on_failure(tracked, error)
+
+        def send() -> None:
+            first = self._adapted.get((batch[0].context, batch[0].resource))
+            self._keepalive(
+                node_id,
+                [tracked.lease_id for tracked in batch],
+                first.trace if first is not None else None,
+                on_reply,
+                on_fail,
+            )
+
+        self._submit(node_id, "renew", send, on_shed=on_fail)
+
+    def _keepalive(
         self,
-        tracked: TrackedLease,
-        on_success: Callable[[], None],
-        on_failure: Callable[[Exception], None],
+        node_id: str,
+        lease_ids: list[str],
+        parent: "_telemetry.SpanContext | None",
+        on_reply: Callable[[list[str]], None],
+        on_error: Callable[[Exception], None],
     ) -> None:
-        live = self._adapted.get((tracked.context, tracked.resource))
+        """Send one ``midas.keepalive`` carrying ``lease_ids`` to ``node_id``.
+
+        The one keepalive sender: renewal rounds and :meth:`renew_node`
+        both go through it.  Its span (``batch`` = number of lease ids)
+        joins ``parent`` — for a round, the offer trace of the extension
+        tracked first.  ``on_reply`` receives the ids the node renewed.
+        """
         span = _telemetry.get_recorder().start_span(
             "midas.keepalive",
-            parent=live.trace if live is not None else None,
+            parent=parent,
             node=self.node_id,
-            target=tracked.peer,
-            extension=tracked.resource,
+            target=node_id,
+            batch=len(lease_ids),
         )
 
-        def on_reply(body: dict) -> None:
-            if tracked.lease_id in body.get("renewed", ()):
-                span.end()
-                on_success()
+        def reply(body: dict) -> None:
+            renewed = body.get("renewed", [])
+            unknown = len(lease_ids) - len(renewed)
+            if unknown:
+                span.end(
+                    status="error",
+                    error=f"{unknown} of {len(lease_ids)} leases unknown at peer",
+                    renewed=len(renewed),
+                )
             else:
-                # The node answered but no longer holds the lease — it
-                # withdrew the extension (expiry during a lossy spell) or
-                # crashed and lost everything.  No number of keepalives
-                # can revive a dead lease: abandon now, so the reconciler
-                # re-offers on its next pass instead of lease-terms later.
-                span.end(status="error", error="lease unknown at peer")
-                self._renewer.abandon(tracked.lease_id)
+                span.end(renewed=len(renewed))
+            on_reply(renewed)
 
-        def on_error(error: Exception) -> None:
+        def fail(error: Exception) -> None:
             span.end(status="error", error=str(error))
-            on_failure(error)
+            on_error(error)
 
         with span.activate():
             self.transport.request(
-                tracked.peer,
+                node_id,
                 KEEPALIVE,
-                {"lease_ids": [tracked.lease_id]},
-                on_reply=on_reply,
-                on_error=on_error,
+                {"lease_ids": lease_ids},
+                on_reply=reply,
+                on_error=fail,
             )
 
     def _renewal_abandoned(self, tracked: TrackedLease) -> None:

@@ -15,15 +15,18 @@ from repro.resilience.policy import RetryPolicy
 
 class FakeRemote:
     def __init__(self):
-        self.renew_calls = 0
+        self.renew_calls = 0  # leases renewed
+        self.rounds = 0  # renew-function calls
         self.fail = False
 
-    def renew_function(self, tracked, on_success, on_failure):
-        self.renew_calls += 1
-        if self.fail:
-            on_failure(TimeoutError("unreachable"))
-        else:
-            on_success()
+    def renew_function(self, batch, on_success, on_failure):
+        self.rounds += 1
+        for tracked in batch:
+            self.renew_calls += 1
+            if self.fail:
+                on_failure(tracked, TimeoutError("unreachable"))
+            else:
+                on_success(tracked)
 
 
 class TestSweepTable:

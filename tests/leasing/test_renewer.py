@@ -6,23 +6,37 @@ from repro.leasing.renewer import RenewalAgent
 
 
 class FakeRemote:
-    """A scriptable renewal endpoint."""
+    """A scriptable renewal endpoint.
 
-    def __init__(self):
+    ``renew_calls`` counts leases renewed; ``rounds`` records each call's
+    ``(time, peer, lease ids)``.
+    """
+
+    def __init__(self, sim=None):
+        self.sim = sim
         self.renew_calls = 0
+        self.rounds = []
         self.fail = False
 
-    def renew_function(self, tracked, on_success, on_failure):
-        self.renew_calls += 1
-        if self.fail:
-            on_failure(TimeoutError("unreachable"))
-        else:
-            on_success()
+    def renew_function(self, batch, on_success, on_failure):
+        self.rounds.append(
+            (
+                self.sim.now if self.sim is not None else None,
+                batch[0].peer,
+                [tracked.lease_id for tracked in batch],
+            )
+        )
+        for tracked in batch:
+            self.renew_calls += 1
+            if self.fail:
+                on_failure(tracked, TimeoutError("unreachable"))
+            else:
+                on_success(tracked)
 
 
 @pytest.fixture
-def remote():
-    return FakeRemote()
+def remote(sim):
+    return FakeRemote(sim)
 
 
 @pytest.fixture
@@ -101,12 +115,13 @@ class TestFailureHandling:
     def test_other_leases_survive_one_abandonment(self, sim, agent):
         outcomes = {"good": 0}
 
-        def selective(tracked, on_success, on_failure):
-            if tracked.lease_id == "bad":
-                on_failure(TimeoutError())
-            else:
-                outcomes["good"] += 1
-                on_success()
+        def selective(batch, on_success, on_failure):
+            for tracked in batch:
+                if tracked.lease_id == "bad":
+                    on_failure(tracked, TimeoutError())
+                else:
+                    outcomes["good"] += 1
+                    on_success(tracked)
 
         agent.renew_function = selective
         agent.track("bad", "b", 2.0)
@@ -115,3 +130,73 @@ class TestFailureHandling:
         assert not agent.tracking("bad")
         assert agent.tracking("good")
         assert outcomes["good"] >= 5
+
+
+class TestPerPeerRounds:
+    def test_one_call_per_round_carries_every_lease_of_the_peer(
+        self, sim, remote, agent
+    ):
+        for index in range(4):
+            agent.track(f"l{index}", "b", 2.0)
+        sim.run(until=3.5)
+        leases = ["l0", "l1", "l2", "l3"]
+        assert remote.rounds == [(1.0, "b", leases), (2.0, "b", leases), (3.0, "b", leases)]
+        assert remote.renew_calls == 12
+
+    def test_each_peer_has_its_own_round(self, sim, remote, agent):
+        agent.track("l1", "b", 2.0)
+        sim.run(until=0.5)
+        agent.track("l2", "c", 2.0)
+        sim.run(until=1.6)
+        assert remote.rounds == [(1.0, "b", ["l1"]), (1.5, "c", ["l2"])]
+
+    def test_lease_tracked_mid_period_rides_the_next_round(self, sim, remote, agent):
+        agent.track("l1", "b", 2.0)  # due at 1.0
+        sim.run(until=0.4)
+        agent.track("l2", "b", 2.0)  # due at 1.4: rides the round at 1.0
+        sim.run(until=2.5)
+        assert remote.rounds == [(1.0, "b", ["l1", "l2"]), (2.0, "b", ["l1", "l2"])]
+
+    def test_lease_due_first_pulls_the_round_earlier(self, sim, remote):
+        agent = RenewalAgent(sim, remote.renew_function, name="t")
+        agent.track("long", "b", 10.0)  # period 3.0: due at 3.0
+        sim.run(until=1.0)
+        agent.track("short", "b", 2.0)  # period 0.6: due at 1.6
+        sim.run(until=2.5)
+        times = [time for time, _peer, _ids in remote.rounds]
+        assert times == pytest.approx([1.6, 2.2])
+        assert all(ids == ["long", "short"] for _t, _p, ids in remote.rounds)
+
+    def test_forgotten_lease_fires_no_round(self, sim, remote, agent):
+        agent.track("l1", "b", 2.0)  # due at 1.0
+        sim.run(until=0.5)
+        agent.track("l2", "b", 2.0)  # due at 1.5
+        agent.forget("l1")
+        # One live timer, as with one timer per lease: l2's.
+        assert sim.pending == 1
+        sim.run(until=1.2)
+        assert remote.rounds == []
+        sim.run(until=1.6)
+        assert remote.rounds == [(1.5, "b", ["l2"])]
+
+    def test_forgetting_a_peers_last_lease_cancels_its_round(self, sim, remote, agent):
+        agent.track("l1", "b", 2.0)
+        agent.forget("l1")
+        assert sim.pending == 0
+        sim.run(until=5.0)
+        assert remote.rounds == []
+
+    def test_replacing_leases_before_they_are_due_fires_no_round(
+        self, sim, remote, agent
+    ):
+        # Policy churn: each lease is replaced 0.8 s after it is tracked,
+        # before its 1 s period is up.
+        live = []
+        for step in range(20):
+            sim.run(until=step * 0.4)
+            if len(live) == 2:
+                agent.forget(live.pop(0))
+            live.append(f"l{step}")
+            agent.track(live[-1], "b", 2.0)
+            assert sim.pending == 1
+        assert remote.rounds == []

@@ -13,17 +13,18 @@ class SlowPeer:
         self.calls = []
         self.pending = []
 
-    def __call__(self, tracked, on_success, on_failure):
-        self.calls.append(tracked.lease_id)
-        self.pending.append((on_success, on_failure))
+    def __call__(self, batch, on_success, on_failure):
+        for tracked in batch:
+            self.calls.append(tracked.lease_id)
+            self.pending.append((tracked, on_success, on_failure))
 
     def answer_all(self, ok=True):
         pending, self.pending = self.pending, []
-        for on_success, on_failure in pending:
+        for tracked, on_success, on_failure in pending:
             if ok:
-                on_success()
+                on_success(tracked)
             else:
-                on_failure(RuntimeError("renewal failed"))
+                on_failure(tracked, RuntimeError("renewal failed"))
 
 
 class TestCoalescing:
@@ -71,9 +72,10 @@ class TestBackoff:
     def test_failures_retry_sooner_than_the_period(self, sim):
         calls = []
 
-        def failing(tracked, on_success, on_failure):
-            calls.append(sim.now)
-            on_failure(RuntimeError("nope"))
+        def failing(batch, on_success, on_failure):
+            for tracked in batch:
+                calls.append(sim.now)
+                on_failure(tracked, RuntimeError("nope"))
 
         agent = RenewalAgent(
             sim,
@@ -91,8 +93,9 @@ class TestBackoff:
     def test_abandons_only_after_silence_budget(self, sim):
         abandoned = []
 
-        def failing(tracked, on_success, on_failure):
-            on_failure(RuntimeError("nope"))
+        def failing(batch, on_success, on_failure):
+            for tracked in batch:
+                on_failure(tracked, RuntimeError("nope"))
 
         agent = RenewalAgent(
             sim,
@@ -112,11 +115,12 @@ class TestBackoff:
         outcomes = iter([False] * 4 + [True] + [False] * 100)
         abandoned = []
 
-        def sometimes(tracked, on_success, on_failure):
-            if next(outcomes):
-                on_success()
-            else:
-                on_failure(RuntimeError("nope"))
+        def sometimes(batch, on_success, on_failure):
+            for tracked in batch:
+                if next(outcomes):
+                    on_success(tracked)
+                else:
+                    on_failure(tracked, RuntimeError("nope"))
 
         agent = RenewalAgent(
             sim,
@@ -160,9 +164,10 @@ class TestAbandon:
     def test_legacy_counting_unchanged_without_backoff(self, sim):
         failures = []
 
-        def failing(tracked, on_success, on_failure):
-            failures.append(sim.now)
-            on_failure(RuntimeError("nope"))
+        def failing(batch, on_success, on_failure):
+            for tracked in batch:
+                failures.append(sim.now)
+                on_failure(tracked, RuntimeError("nope"))
 
         agent = RenewalAgent(sim, failing, interval=1.0, max_failures=3)
         abandoned = []

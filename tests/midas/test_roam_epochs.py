@@ -16,6 +16,7 @@ from repro.core.platform import ProactivePlatform
 from repro.extensions.call_logging import CallLogging
 from repro.faults.plan import FaultPlan
 from repro.midas.base import DEFAULT_ROAM_SYNC_INTERVAL, ROAMED
+from repro.midas.pipeline import PipelineConfig
 from repro.net.geometry import ORIGIN
 from repro.net.node import NetworkNode
 from repro.net.transport import RemoteError, Transport
@@ -23,7 +24,11 @@ from repro.resilience.policy import RetryPolicy
 from repro.scenarios.nodes import StormNode
 
 
-def build_platform(retry: bool = True, sync: float = DEFAULT_ROAM_SYNC_INTERVAL):
+def build_platform(
+    retry: bool = True,
+    sync: float = DEFAULT_ROAM_SYNC_INTERVAL,
+    pipeline: PipelineConfig | None = None,
+):
     """Two linked bases, each with one extension, telemetry on."""
     platform = ProactivePlatform(
         seed=5,
@@ -34,6 +39,7 @@ def build_platform(retry: bool = True, sync: float = DEFAULT_ROAM_SYNC_INTERVAL)
             else None
         ),
         roam_sync_interval=sync,
+        pipeline=pipeline,
     )
     registry = platform.enable_telemetry()
     stations = [
@@ -204,3 +210,34 @@ def test_anti_entropy_is_not_stalled_by_circuits_lost_announcements_opened():
         assert base.adapted_nodes() == sorted(
             node.node_id for node in nodes if node.home == base.node_id
         )
+
+
+def test_shed_announcement_counts_as_failed():
+    """A ROAMED the peer's pipeline sheds is answered ``accepted: False``:
+    the announcer must count it failed, not delivered."""
+    platform, registry, base_a, base_b = build_platform(
+        sync=1000.0,  # anti-entropy out of the picture
+        pipeline=PipelineConfig(workers=1, queue_capacity=1, service_time=0.2),
+    )
+    nodes = [storm_node(platform, index) for index in range(1, 13)]
+    for position, node in enumerate(nodes):
+        node.join("base-a" if position % 2 == 0 else "base-b")
+    platform.run_for(4.5)
+    for node in nodes:
+        node.migrate("base-b" if node.home == "base-a" else "base-a")
+    platform.run_for(8.0)
+    shed = sum(
+        registry.counter_value(
+            "midas.pipeline.shed", station=f"{base.node_id}.base", kind="roamed"
+        )
+        for base in (base_a, base_b)
+    )
+    assert shed > 0
+    assert registry.counter_total("midas.roam.announce_failed") == shed
+    failed = [
+        event
+        for base in (base_a, base_b)
+        for event in registry.flight.events(base.node_id)
+        if event.kind == "midas.roam.announce_failed"
+    ]
+    assert len(failed) == shed

@@ -31,15 +31,29 @@ RUNS = {
     "roaming-60-seed2": lambda: run_storm(roaming_storm(nodes=60, bases=3, seed=2)).fingerprint,
     "revocation-seed3": lambda: run_storm(revocation_storm(seed=3)).fingerprint,
     "partition-seed3": lambda: run_storm(partition_storm(seed=3)).fingerprint,
+    # One extension per node, so one lease per base-node pair: renewal
+    # rounds then make exactly the calls per-lease timers made.
+    "roaming-60-seed7-one-lease": lambda: run_storm(
+        roaming_storm(nodes=60, bases=3, seed=7, catalog_size=1)
+    ).fingerprint,
+    "revocation-seed3-one-lease": lambda: run_storm(
+        revocation_storm(seed=3, catalog_size=1)
+    ).fingerprint,
+    "partition-seed3-one-lease": lambda: run_storm(
+        partition_storm(seed=3, catalog_size=1)
+    ).fingerprint,
     "fleet-drive-2-shards": lambda: drive(2).fingerprint(),
 }
 
 GOLDEN = {
-    "roaming-60-seed7": "20d09c81717c021b99e34e868f78b86b7469e9e0f8db6333fd70fc26a3603641",
-    "roaming-60-seed9": "4c5d1b089ccacc293ff780fc546cbb3b8d7305ec50f3c1680310d7d2d8ae6e65",
-    "roaming-60-seed2": "76f0e3e539fdaa2567ab4fc59f0f1bf3234fe32aee89930356b9dfde297b0cad",
-    "revocation-seed3": "da7fd6a07fcde72351db91aa5d30790546f4d93f248859a1ac58113ca3bfb3f0",
-    "partition-seed3": "508d7413c8d99d93751011bceb7f86e9a5ba400ae9d0b522c80dbc1def913dcc",
+    "roaming-60-seed7": "fcaa6dc43699e8e2ec5e8be2350574cf376b3b757a5d52c51753b9c95ca74d4b",
+    "roaming-60-seed9": "89176b9671df81424189b2b426a038db57ae8964c56c90b2260af467531671c2",
+    "roaming-60-seed2": "28fc6428d78581c234e722434c2d452eb974200be29ca381a23ecbee65148f94",
+    "revocation-seed3": "73aa98811fa939e70da9278138ba1b3bbe2ef81ef8f5dfa04c2308c064c1aa3c",
+    "partition-seed3": "78260104c92d35d8996f6970ccea9af19119e4006000dc88875edbbaf151b595",
+    "roaming-60-seed7-one-lease": "4e88654a4ddfbaefc3cfba2cc314a32a3313385999b995f1c2482207554bde35",
+    "revocation-seed3-one-lease": "8546f48be3c80f292a5fbfe64bae40b69c32587ef2575268d169bf837d598725",
+    "partition-seed3-one-lease": "7413dcd8562f3a526a2690dee1770f763b1ec7c2822562930b3ee06e4786d207",
     "fleet-drive-2-shards": "f3ec0f2a72e3a87df76dff0ff60aad953d958c06f8fa9f4f1f37876c2ca0c894",
 }
 
