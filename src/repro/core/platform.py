@@ -83,7 +83,6 @@ class BaseStation:
             lease_duration,
             retry_policy=platform.retry_policy,
             pipeline=platform.pipeline,
-            renew_batch_interval=platform.renew_batch_interval,
             roam_sync_interval=platform.roam_sync_interval,
         )
         self.extension_base.watch_lookup(self.lookup)
@@ -241,19 +240,15 @@ class ProactivePlatform:
         supervision: SupervisionPolicy | None = None,
         pipeline: PipelineConfig | None = None,
         lease_sweep_interval: float | None = None,
-        renew_batch_interval: float | None = None,
         roam_sync_interval: float = DEFAULT_ROAM_SYNC_INTERVAL,
     ):
         self.simulator = Simulator()
         self.network = Network(self.simulator, config=network_config, seed=seed)
         self.lease_duration = lease_duration
-        #: Fleet-scale batching knobs (see :mod:`repro.fleet`): lease
-        #: tables sweep in batches instead of one timer per lease, and
-        #: base keepalives ride one sweep timer per station.  ``None``
-        #: keeps the exact timers: one per lease in a table, one per
-        #: node for keepalive rounds.
+        #: Fleet-scale batching knob (see :mod:`repro.fleet`): lease
+        #: tables sweep in batches instead of one timer per lease.
+        #: ``None`` keeps the exact timers, one per lease in a table.
         self.lease_sweep_interval = lease_sweep_interval
-        self.renew_batch_interval = renew_batch_interval
         #: Period of the anti-entropy roam reconciliation linked base
         #: stations run (see ExtensionBase).
         self.roam_sync_interval = roam_sync_interval

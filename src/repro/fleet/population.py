@@ -648,7 +648,6 @@ class FleetBuilder:
             # Batched sweeps at the base: one timer per lease table,
             # however many head leases the tree parks there.
             lease_sweep_interval=self.renew_interval,
-            renew_batch_interval=self.renew_interval,
         )
         base = platform.create_base_station("base")
         base.catalog.add("fleet-policy", FleetPolicyAspect)

@@ -29,7 +29,8 @@ At fleet scale even one kernel event per peer per round is the
 bottleneck, so ``batch_interval`` switches the agent to a single
 periodic sweep (one timer per *agent*): each tick runs the round of
 every peer with a lease due, building the same per-peer batches at tick
-resolution.  See :mod:`repro.fleet` for the subsystem built on this.
+resolution.  X1's timer-event gate (``benchmarks/bench_x1_fleet.py``)
+measures that saving.
 
 Outcomes are settled per lease — the renew function reports each lease
 of a batch to ``on_success(tracked)`` or ``on_failure(tracked, error)``

@@ -32,14 +32,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.platform import ProactivePlatform
-from repro.discovery.registrar import REGISTER
-from repro.discovery.service import ServiceItem
 from repro.extensions.call_logging import CallLogging
 from repro.loadgen.analysis import closed_mmn, operational_checks, saturation_point
 from repro.loadgen.client import DRIVE, LoadClient, ext_name
 from repro.loadgen.scenario import Scenario
 from repro.loadgen.windows import Window, WindowedCollector, aggregate, stable_span
-from repro.midas.receiver import ADAPTATION_INTERFACE
 from repro.net.network import NetworkConfig
 from repro.net.node import NetworkNode
 from repro.net.transport import Transport
@@ -281,27 +278,8 @@ def run_scenario(
 
     station.transport.register(DRIVE, drive)
 
-    def register(client: LoadClient) -> None:
-        item = ServiceItem(
-            ADAPTATION_INTERFACE, client.node_id, {"class": "loadgen"}
-        )
-        client.service_item = item
-        client.transport.request(
-            station.node_id,
-            REGISTER,
-            {"item": item, "duration": scenario.lease_duration},
-            on_reply=lambda body, client=client: client.keep_registered(
-                body["lease_id"], body["duration"]
-            ),
-            # Registration is load-bearing (keep_registered arms lease
-            # renewal): a lost request is simply re-sent, paced by the op
-            # timeout, until the station answers.
-            on_error=lambda exc, client=client: register(client),
-            timeout=scenario.op_timeout,
-        )
-
     for client in clients.values():
-        client.start(register if scenario.register_clients else None)
+        client.start()
 
     pipeline = base.pipeline
     assert pipeline is not None  # scenarios always configure one

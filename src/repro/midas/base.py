@@ -127,7 +127,6 @@ class ExtensionBase:
         node_filter: "ServiceTemplate | None" = None,
         retry_policy: RetryPolicy | None = None,
         pipeline: PipelineConfig | None = None,
-        renew_batch_interval: float | None = None,
         roam_sync_interval: float = DEFAULT_ROAM_SYNC_INTERVAL,
     ):
         self.transport = transport
@@ -184,15 +183,11 @@ class ExtensionBase:
         #: permanently lost ROAMED converges within one interval.
         self.roam_sync_interval = roam_sync_interval
         self._roam_sync_timer: PeriodicTimer | None = None
-        # ``renew_batch_interval`` puts all keepalives on one sweep timer
-        # (one kernel event per interval however many nodes are adapted)
-        # instead of one timer per lease — the fleet-scale mode.
         self._renewer = RenewalAgent(
             simulator,
             self._send_keepalive,
             name=f"{self.node_id}.extensions",
             backoff=retry_policy,
-            batch_interval=renew_batch_interval,
         )
         self._renewer.on_abandoned.connect(self._renewal_abandoned)
         if retry_policy is not None:
@@ -350,7 +345,9 @@ class ExtensionBase:
         event, not a periodic reconcile of stale lookup state.  A
         non-fresh adapt is refused when a ROAMED announcement has told
         this base the node now lives at a peer: re-offering then would
-        resurrect exactly the leases the roam dropped.
+        resurrect exactly the leases the roam dropped.  A non-fresh adapt
+        of a node whose newest arrival is already here (its offers failed)
+        re-offers without re-stamping or re-announcing that arrival.
         """
         newly_seen = not any(node == node_id for (node, _) in self._adapted)
         if not fresh and newly_seen:
@@ -367,6 +364,8 @@ class ExtensionBase:
                     known[0],
                 )
                 return
+            if known is not None:
+                newly_seen = False  # arrived here already; its offers failed
         if fresh or newly_seen:
             self._note_arrival(node_id)
         for name in self.catalog.names():

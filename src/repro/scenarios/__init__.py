@@ -6,8 +6,10 @@ machinery rather than anecdotes:
 
 - :mod:`repro.scenarios.spec` — :class:`StormSpec`, the replayable
   description of one storm (JSON round-trip; same spec = same storm);
-- :mod:`repro.scenarios.nodes` — :class:`StormNode`, a roaming protocol
-  stub cheap enough to run in the thousands;
+- :mod:`repro.scenarios.nodes` — :class:`StormNode`, a roaming
+  :class:`~repro.scenarios.nodes.ProtocolStub` (the receiver side of
+  MIDAS the load harness's clients share) cheap enough to run in the
+  thousands;
 - :mod:`repro.scenarios.storms` — :class:`StormWorld`, the seeded
   builder that schedules flash-crowd waves, revocation and quarantine
   storms, churn and backbone partitions;

@@ -17,6 +17,7 @@ from repro.extensions.call_logging import CallLogging
 from repro.faults.plan import FaultPlan
 from repro.midas.base import DEFAULT_ROAM_SYNC_INTERVAL, ROAMED
 from repro.midas.pipeline import PipelineConfig
+from repro.midas.receiver import OFFER
 from repro.net.geometry import ORIGIN
 from repro.net.node import NetworkNode
 from repro.net.transport import RemoteError, Transport
@@ -241,3 +242,26 @@ def test_shed_announcement_counts_as_failed():
         if event.kind == "midas.roam.announce_failed"
     ]
     assert len(failed) == shed
+
+
+def test_reconcile_of_a_node_whose_offers_fail_does_not_re_announce_it():
+    """A node that stays put but keeps failing its offers is retried on
+    every reconcile pass; that is not a new arrival, so its roam epoch
+    keeps the join instant and no further ROAMED goes out."""
+    platform, registry, base_a, base_b = build_platform(sync=1000.0)
+    node = storm_node(platform, 1)
+
+    def refuse(sender, body):
+        raise RuntimeError("offer refused")
+
+    node.transport.register(OFFER, refuse)
+    node.join("base-a")
+    platform.run_for(1.0)
+    joined = base_a._roam_epochs["dev-1"]
+    assert joined[1] == "base-a"
+    platform.run_for(39.0)
+    assert not tracks(base_a, "dev-1")
+    assert registry.counter_total("midas.offers") == 7  # t = 0, 6, ..., 36
+    assert registry.counter_total("midas.roam.announced") == 1
+    assert base_a._roam_epochs["dev-1"] == joined
+    assert base_b._roam_epochs["dev-1"] == joined

@@ -21,7 +21,13 @@ import logging
 
 import pytest
 
-from repro.scenarios import partition_storm, revocation_storm, roaming_storm, run_storm
+from repro.scenarios import (
+    partition_storm,
+    revocation_storm,
+    roaming_storm,
+    run_storm,
+    soak,
+)
 from tests.fleet.test_determinism import drive
 
 #: name -> a zero-argument run returning its fingerprint.
@@ -42,6 +48,9 @@ RUNS = {
     "partition-seed3-one-lease": lambda: run_storm(
         partition_storm(seed=3, catalog_size=1)
     ).fingerprint,
+    # Waves, revocation, quarantine reports, partitions and churn (nodes
+    # leave and rejoin) in one storm.
+    "soak-60-seed3": lambda: run_storm(soak(nodes=60, seed=3)).fingerprint,
     "fleet-drive-2-shards": lambda: drive(2).fingerprint(),
 }
 
@@ -49,11 +58,12 @@ GOLDEN = {
     "roaming-60-seed7": "fcaa6dc43699e8e2ec5e8be2350574cf376b3b757a5d52c51753b9c95ca74d4b",
     "roaming-60-seed9": "89176b9671df81424189b2b426a038db57ae8964c56c90b2260af467531671c2",
     "roaming-60-seed2": "28fc6428d78581c234e722434c2d452eb974200be29ca381a23ecbee65148f94",
-    "revocation-seed3": "73aa98811fa939e70da9278138ba1b3bbe2ef81ef8f5dfa04c2308c064c1aa3c",
+    "revocation-seed3": "7e78750df59ad2d212abfa01060ccbd2149fd2c897edce3fe5a9da839ae9d820",
     "partition-seed3": "78260104c92d35d8996f6970ccea9af19119e4006000dc88875edbbaf151b595",
     "roaming-60-seed7-one-lease": "4e88654a4ddfbaefc3cfba2cc314a32a3313385999b995f1c2482207554bde35",
-    "revocation-seed3-one-lease": "8546f48be3c80f292a5fbfe64bae40b69c32587ef2575268d169bf837d598725",
+    "revocation-seed3-one-lease": "f52851bb4148497293032f780e62b4bb65dfb2c867b69e3a8aa9c977409a0bca",
     "partition-seed3-one-lease": "7413dcd8562f3a526a2690dee1770f763b1ec7c2822562930b3ee06e4786d207",
+    "soak-60-seed3": "e32b5f4da96636bef91b8d0de810388f36bee2de28830be08b72989ba668b4f3",
     "fleet-drive-2-shards": "f3ec0f2a72e3a87df76dff0ff60aad953d958c06f8fa9f4f1f37876c2ca0c894",
 }
 
