@@ -152,6 +152,9 @@ def test_o3_enabled_storm_within_budget(benchmark, bench_trajectory):
             "spec": spec.name,
             "seed": spec.seed,
             "enabled_ratio": round(ratio, 3),
+            "without_plane_s": round(without_plane, 4),
+            "with_plane_s": round(with_plane, 4),
+            "epsilon_s": WORKLOAD_EPSILON_SECONDS,
             "disabled_budget": DISABLED_BUDGET,
             "enabled_budget": ENABLED_BUDGET,
         },

@@ -2,7 +2,7 @@
 
 The issue's gate: one full ``python -m repro lint`` pass over
 ``src/repro`` must finish in **under 10 seconds cold** — parsing every
-file, building the tree index, and running all three passes from empty
+file, building the tree index, and running both passes from empty
 caches — or the CI lint job becomes the slowest thing in the pipeline.
 The warm number pins the value of the memoized AST cache: a second run
 over an unchanged tree re-parses nothing (file entries key on
@@ -10,8 +10,8 @@ over an unchanged tree re-parses nothing (file entries key on
 
 Both numbers are wall time, reported via pytest-benchmark; the
 deterministic row appended to ``BENCH_lint.json`` carries only
-scan-shape facts (files scanned, findings by bucket) plus the measured
-ratio, not raw seconds.  Run standalone::
+scan-shape facts (files scanned, findings by bucket), not raw seconds.
+Run standalone::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_s2_lint.py
 """

@@ -32,10 +32,15 @@ def append_bench_row(name: str, row: dict) -> Path:
     run, so derived metrics can be tracked across commits without
     scraping pytest-benchmark output.  Rows should contain only
     deterministic, simulation-derived numbers (plus explicit context like
-    a git revision if the caller wants it) — not wall-clock noise.
+    a git revision if the caller wants it) — not wall-clock noise.  A row
+    equal to the file's last row is not appended again, so re-running a
+    benchmark on an unchanged tree does not repeat its row.
     """
     path = REPO_ROOT / f"BENCH_{name}.json"
     rows = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+    row = json.loads(json.dumps(row))  # the form it takes in the file
+    if rows and rows[-1] == row:
+        return path
     rows.append(row)
     path.write_text(
         json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -8,7 +8,7 @@ Usage::
     python -m repro telemetry       # traced MIDAS lifecycle demo
     python -m repro inspect         # node health: extensions, leases, breakers
     python -m repro vet <target>    # statically vet extension modules
-    python -m repro lint [paths]    # platform lints: determinism, shards, protocol
+    python -m repro lint [paths]    # platform lints: determinism, protocol
     python -m repro loadgen         # closed-loop load runs + M/M/n checks
     python -m repro ops             # control tower: SLO burn + health statuses
 """

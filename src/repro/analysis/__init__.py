@@ -1,13 +1,11 @@
-"""Platform static analysis: determinism, shard-race and protocol lints.
+"""Platform static analysis: determinism and protocol lints.
 
-Run as ``python -m repro lint``.  Three passes over the platform's own
+Run as ``python -m repro lint``.  Two passes over the platform's own
 source tree, sharing one memoized AST core with :mod:`repro.vetting`:
 
 - :mod:`repro.analysis.determinism` — wall clocks, unseeded randomness,
   ambient entropy, unstable hashes and unordered set iteration inside
   fingerprint-critical modules;
-- :mod:`repro.analysis.shards` — mutable state crossing shard/region
-  contexts without the epoch-quantized handoff or the accept queue;
 - :mod:`repro.analysis.protocol` — every sent transport op
   cross-referenced against registered handlers, plus unguarded request
   paths and mixed send modes.
@@ -35,7 +33,6 @@ from repro.analysis.findings import (
 )
 from repro.analysis.runner import (
     DETERMINISM_SCOPE,
-    SHARD_SCOPE,
     LintConfig,
     run_lint,
 )
@@ -50,7 +47,6 @@ __all__ = [
     "LintFinding",
     "LintResult",
     "RULES",
-    "SHARD_SCOPE",
     "TreeIndex",
     "WARNING",
     "clear_ast_caches",

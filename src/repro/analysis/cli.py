@@ -34,8 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description=(
-            "Static analysis over the platform source tree: determinism, "
-            "shard discipline, protocol completeness."
+            "Static analysis over the platform source tree: determinism "
+            "and protocol completeness."
         ),
     )
     parser.add_argument(

@@ -134,7 +134,7 @@ def parse_waivers(source_lines: list[str]) -> dict[int, frozenset[str]]:
     A waiver covers the line it sits on *and* the following line, so
     both trailing-comment and comment-above styles work::
 
-        self._handoffs.append(h)  # lint: allow(shard.cross-context-write) — the channel itself
+        key = id(x)  # lint: allow(det.unstable-hash) — memo key only
         # lint: allow(det.wall-clock) — operator-facing timestamp only
         stamp = time.time()
     """

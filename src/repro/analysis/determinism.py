@@ -1,6 +1,6 @@
 """The determinism lint: sources of replay divergence in critical modules.
 
-Fleet fingerprints, storm replays and chaos tests all rest on one claim:
+Storm fingerprints, replays and chaos tests all rest on one claim:
 the same seed produces the same run, bit for bit.  Any ambient
 nondeterminism inside the modules those fingerprints observe breaks the
 claim silently — the replay test that catches it fires *after* the

@@ -38,18 +38,6 @@ RULE_UNSTABLE_HASH = "det.unstable-hash"
 #: Iteration over a set expression whose order feeds ordered output.
 RULE_UNORDERED_ITER = "det.unordered-iter"
 
-# -- shard-discipline rules -------------------------------------------------
-
-#: One attribute mutated from two different shard/region contexts
-#: without passing through the epoch-quantized handoff or accept queue.
-RULE_CROSS_CONTEXT_WRITE = "shard.cross-context-write"
-#: Attribute written in one parameterized shard context and read in a
-#: different one (stale-read hazard across region heaps).
-RULE_CROSS_CONTEXT_READ = "shard.cross-context-read"
-#: Reaching into another object's ``_shards`` heap list directly instead
-#: of going through ``schedule``/``handoff``.
-RULE_PRIVATE_HEAP_REACH = "shard.private-heap-reach"
-
 # -- protocol rules ---------------------------------------------------------
 
 #: Operation sent via request/notify/broadcast with no registered
@@ -91,20 +79,6 @@ RULES: dict[str, tuple[str, str]] = {
         WARNING,
         "iteration over a set expression; wrap in sorted() when the "
         "order can feed ordered output or hashes",
-    ),
-    RULE_CROSS_CONTEXT_WRITE: (
-        ERROR,
-        "attribute mutated from two different shard/region contexts "
-        "without the epoch-quantized handoff or accept queue",
-    ),
-    RULE_CROSS_CONTEXT_READ: (
-        WARNING,
-        "attribute written in one shard context and read in another",
-    ),
-    RULE_PRIVATE_HEAP_REACH: (
-        ERROR,
-        "direct reach into another object's _shards heaps; use "
-        "schedule()/handoff()",
     ),
     RULE_UNHANDLED_OP: (
         ERROR,

@@ -4,9 +4,9 @@
 :mod:`repro.analysis.core`), applies each pass to its configured scope,
 filters inline waivers, then filters the baseline.  Scopes mirror the
 platform's determinism contract: the fingerprint-critical packages get
-the determinism pass, the sharded kernel and pipeline get the
-shard-race pass, and the protocol pass is whole-tree by construction
-(its question — "does anything register this op?" — is global).
+the determinism pass, and the protocol pass is whole-tree by
+construction (its question — "does anything register this op?" — is
+global).
 """
 
 from __future__ import annotations
@@ -15,28 +15,21 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis import determinism, protocol, shards
+from repro.analysis import determinism, protocol
 from repro.analysis.baseline import Baseline
 from repro.analysis.core import FileAst, TreeIndex, load_tree
 from repro.analysis.findings import LintFinding, LintResult
 
 #: Packages whose behavior feeds replay fingerprints: the simulator and
-#: everything the fleet/storm fingerprints hash over.
+#: everything the storm fingerprints hash over.
 DETERMINISM_SCOPE = (
     "repro/sim/",
-    "repro/fleet/",
     "repro/scenarios/",
     "repro/net/",
     "repro/midas/",
     "repro/discovery/",
     "repro/leasing/",
     "repro/tuplespace/",
-)
-
-#: Modules that own sharded or pipelined mutable state.
-SHARD_SCOPE = (
-    "repro/fleet/",
-    "repro/midas/pipeline.py",
 )
 
 
@@ -48,7 +41,6 @@ class LintConfig:
     targets: list[Path] = field(default_factory=list)
     baseline: Baseline = field(default_factory=Baseline)
     determinism_scope: tuple[str, ...] = DETERMINISM_SCOPE
-    shard_scope: tuple[str, ...] = SHARD_SCOPE
 
 
 def _in_scope(rel_path: str, scope: tuple[str, ...]) -> bool:
@@ -94,8 +86,6 @@ def run_lint(config: LintConfig) -> LintResult:
     for file in tree.files:
         if _in_scope(file.rel_path, config.determinism_scope):
             raw.extend(determinism.check_file(file))
-        if _in_scope(file.rel_path, config.shard_scope):
-            raw.extend(shards.check_file(file))
     raw.extend(protocol.check_tree(tree))
 
     raw.sort(key=lambda f: (f.path, f.line, f.rule, f.key))

@@ -70,11 +70,7 @@ class BaseStation:
         self.node = node
         self.signer = signer
         self.transport = Transport(node, platform.simulator)
-        self.lookup = LookupService(
-            self.transport,
-            platform.simulator,
-            sweep_interval=platform.lease_sweep_interval,
-        )
+        self.lookup = LookupService(self.transport, platform.simulator)
         self.catalog = ExtensionCatalog(signer)
         self.extension_base = ExtensionBase(
             self.transport,
@@ -239,16 +235,11 @@ class ProactivePlatform:
         retry_policy: RetryPolicy | None = None,
         supervision: SupervisionPolicy | None = None,
         pipeline: PipelineConfig | None = None,
-        lease_sweep_interval: float | None = None,
         roam_sync_interval: float = DEFAULT_ROAM_SYNC_INTERVAL,
     ):
         self.simulator = Simulator()
         self.network = Network(self.simulator, config=network_config, seed=seed)
         self.lease_duration = lease_duration
-        #: Fleet-scale batching knob (see :mod:`repro.fleet`): lease
-        #: tables sweep in batches instead of one timer per lease.
-        #: ``None`` keeps the exact timers, one per lease in a table.
-        self.lease_sweep_interval = lease_sweep_interval
         #: Period of the anti-entropy roam reconciliation linked base
         #: stations run (see ExtensionBase).
         self.roam_sync_interval = roam_sync_interval

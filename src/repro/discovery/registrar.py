@@ -6,7 +6,6 @@ transport layer:
 =================  ==========================================================
 ``lookup.register``  register a :class:`ServiceItem` under a fresh lease
 ``lookup.renew``     extend a registration's lease
-``lookup.renew_batch``  extend many leases in one round trip (fleet trees)
 ``lookup.cancel``    drop a registration
 ``lookup.query``     all items matching a :class:`ServiceTemplate`
 ``lookup.listen``    leased remote-event subscription for a template
@@ -25,7 +24,7 @@ from typing import Any
 
 from repro.discovery.events import EventKind, RemoteEvent
 from repro.discovery.service import ServiceItem, ServiceTemplate
-from repro.errors import LeaseExpiredError, RegistrationError
+from repro.errors import RegistrationError
 from repro.leasing.lease import Lease
 from repro.leasing.table import LeaseTable
 from repro.net.transport import Transport
@@ -39,7 +38,6 @@ ANNOUNCE = "lookup.announce"
 PROBE = "lookup.probe"
 REGISTER = "lookup.register"
 RENEW = "lookup.renew"
-RENEW_BATCH = "lookup.renew_batch"
 CANCEL = "lookup.cancel"
 QUERY = "lookup.query"
 LISTEN = "lookup.listen"
@@ -69,12 +67,7 @@ class LookupService:
         simulator: Simulator,
         announce_interval: float = DEFAULT_ANNOUNCE_INTERVAL,
         max_lease: float = DEFAULT_MAX_LEASE,
-        sweep_interval: float | None = None,
     ):
-        """``sweep_interval`` switches the lease tables to batched
-        expiry (one sweep timer per table instead of one kernel event
-        per registration) — the fleet-scale mode; ``None`` keeps exact
-        per-lease expiry."""
         self.transport = transport
         self.simulator = simulator
         self.node_id = transport.node.node_id
@@ -87,7 +80,6 @@ class LookupService:
             simulator,
             max_duration=max_lease,
             name=f"{self.node_id}.registrations",
-            sweep_interval=sweep_interval,
         )
         self._registrations.on_expired.connect(self._registration_gone(EventKind.EXPIRED))
         self._registrations.on_cancelled.connect(
@@ -97,13 +89,11 @@ class LookupService:
             simulator,
             max_duration=max_lease,
             name=f"{self.node_id}.listeners",
-            sweep_interval=sweep_interval,
         )
         self._local_items: list[ServiceItem] = []
 
         transport.register(REGISTER, self._serve_register)
         transport.register(RENEW, self._serve_renew)
-        transport.register(RENEW_BATCH, self._serve_renew_batch)
         transport.register(CANCEL, self._serve_cancel)
         transport.register(QUERY, self._serve_query)
         transport.register(LISTEN, self._serve_listen)
@@ -189,30 +179,6 @@ class LookupService:
         table = self._listeners if lease_id in self._listeners else self._registrations
         lease = table.renew(lease_id, body.get("duration"))
         return {"duration": lease.duration}
-
-    def _serve_renew_batch(self, sender: str, body: dict[str, Any]) -> dict[str, Any]:
-        """Renew many leases in one round trip (the aggregation-tree path).
-
-        A cluster registrar renewing on behalf of the heads below it
-        sends one ``lookup.renew_batch`` per sweep instead of one
-        ``lookup.renew`` per lease.  Unknown/expired ids are reported
-        back rather than failing the whole batch — the caller
-        re-registers exactly the losers.
-        """
-        renewed: dict[str, float] = {}
-        unknown: list[str] = []
-        duration = body.get("duration")
-        for lease_id in body["lease_ids"]:
-            table = (
-                self._listeners if lease_id in self._listeners else self._registrations
-            )
-            try:
-                lease = table.renew(lease_id, duration)
-            except LeaseExpiredError:
-                unknown.append(lease_id)
-            else:
-                renewed[lease_id] = lease.duration
-        return {"renewed": renewed, "unknown": unknown}
 
     def _serve_cancel(self, sender: str, body: dict[str, Any]) -> dict[str, Any]:
         lease_id = body["lease_id"]

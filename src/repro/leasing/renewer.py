@@ -25,13 +25,6 @@ At most one renewal per lease is in flight at a time: a lease that
 comes due while its previous renewal is still outstanding is
 *coalesced* (skipped, with the schedule kept), never stacked.
 
-At fleet scale even one kernel event per peer per round is the
-bottleneck, so ``batch_interval`` switches the agent to a single
-periodic sweep (one timer per *agent*): each tick runs the round of
-every peer with a lease due, building the same per-peer batches at tick
-resolution.  X1's timer-event gate (``benchmarks/bench_x1_fleet.py``)
-measures that saving.
-
 Outcomes are settled per lease — the renew function reports each lease
 of a batch to ``on_success(tracked)`` or ``on_failure(tracked, error)``
 — and failure handling comes in two flavors:
@@ -144,7 +137,6 @@ class RenewalAgent:
         name: str = "renewer",
         backoff: "RetryPolicy | None" = None,
         rng: random.Random | None = None,
-        batch_interval: float | None = None,
     ):
         self.simulator = simulator
         self.renew_function = renew_function
@@ -152,15 +144,6 @@ class RenewalAgent:
         self.interval = interval
         self.max_failures = max_failures
         self.name = name
-        #: Sweep mode: one periodic timer for the *whole agent* instead of
-        #: one kernel event per peer round.  Each tick runs the round of
-        #: every peer with a lease due; cadence, coalescing, failure
-        #: counting and backoff are unchanged, but due times are only
-        #: observed at tick resolution (renewals fire up to
-        #: ``batch_interval`` late — keep it well under the shortest
-        #: ``RENEW_FRACTION × duration``).  ``None`` keeps one timer per
-        #: peer.
-        self.batch_interval = batch_interval
         #: Retry policy for failed renewals; None keeps legacy counting.
         self.backoff = backoff
         # Seeded per agent name: deterministic, decorrelated between nodes.
@@ -172,12 +155,9 @@ class RenewalAgent:
         self._tracked: dict[str, TrackedLease] = {}
         #: peer -> its tracked leases, in tracking order.
         self._peers: dict[str, dict[str, TrackedLease]] = {}
-        #: peer -> the timer of its next round (timer mode only).
+        #: peer -> the timer of its next round.
         self._rounds: dict[str, Event] = {}
         self._in_flight: set[str] = set()
-        self._batch_event: Event | None = None
-        #: Number of batch sweep ticks run (sweep mode only).
-        self.batch_ticks = 0
         self.coalesced = 0
         self._stopped = False
 
@@ -205,12 +185,9 @@ class RenewalAgent:
         self._tracked[lease_id] = tracked
         self._peers.setdefault(peer, {})[lease_id] = tracked
         self._stopped = False
-        if self.batch_interval is not None:
-            self._arm_batch()
-        else:
-            timer = self._rounds.get(peer)
-            if timer is None or tracked.next_due < timer.time:
-                self._arm(peer)
+        timer = self._rounds.get(peer)
+        if timer is None or tracked.next_due < timer.time:
+            self._arm(peer)
         return tracked
 
     def forget(self, lease_id: str) -> TrackedLease | None:
@@ -267,9 +244,6 @@ class RenewalAgent:
             timer.cancel()
         self._rounds.clear()
         self._in_flight.clear()
-        if self._batch_event is not None:
-            self._batch_event.cancel()
-            self._batch_event = None
 
     def __len__(self) -> int:
         return len(self._tracked)
@@ -306,31 +280,6 @@ class RenewalAgent:
         del self._rounds[peer]
         self._round(peer)
 
-    def _arm_batch(self) -> None:
-        if self._stopped or self._batch_event is not None:
-            return
-        self._batch_event = self.simulator.schedule(
-            self.batch_interval, self._batch_tick
-        )
-
-    def _batch_tick(self) -> None:
-        """One sweep: run the round of every peer with a lease due.
-
-        This is the fleet-scale discipline — one kernel event per agent
-        per interval, however many peers and leases it carries.  Peers
-        are visited in the order their leases were first tracked, so
-        renewal order is deterministic.
-        """
-        self._batch_event = None
-        self.batch_ticks += 1
-        now = self.simulator.now
-        for peer in list(self._peers):
-            leases = self._peers.get(peer)
-            if leases and any(t.next_due <= now for t in leases.values()):
-                self._round(peer)
-        if self._tracked:
-            self._arm_batch()
-
     # -- rounds -----------------------------------------------------------------------
 
     def _round(self, peer: str) -> None:
@@ -361,8 +310,7 @@ class RenewalAgent:
         # renewal in flight does not delay the cadence, and an outcome
         # that arrives synchronously (tests, local peers) must be able to
         # move it with a backoff retry.
-        if self.batch_interval is None:
-            self._arm(peer)
+        self._arm(peer)
         if batch:
             self.renew_function(batch, self._succeeded, self._failed)
 
@@ -405,10 +353,8 @@ class RenewalAgent:
         )
         _telemetry.get_recorder().count("lease.renewals.retried", agent=self.name)
         tracked.next_due = self.simulator.now + delay
-        if self.batch_interval is None:
-            # The peer's round follows its earliest due lease; in sweep
-            # mode the retry lands on the first tick at/after the delay.
-            self._arm(tracked.peer)
+        # The peer's round follows its earliest due lease.
+        self._arm(tracked.peer)
 
     def __repr__(self) -> str:
         return f"<RenewalAgent {self.name} tracked={len(self._tracked)}>"

@@ -32,27 +32,16 @@ class LeaseTable:
         simulator: Simulator,
         max_duration: float | None = None,
         name: str = "leases",
-        sweep_interval: float | None = None,
     ):
         self.simulator = simulator
         self.max_duration = max_duration
         self.name = name
-        #: Batched-expiry mode: instead of one kernel event per lease,
-        #: one periodic sweep per *table* scans for lapsed terms.  Expiry
-        #: then fires at the first sweep tick at/after ``expires_at`` —
-        #: up to ``sweep_interval`` late, which a fleet-scale registrar
-        #: trades for O(1) kernel events per renewal.  ``None`` keeps the
-        #: classic exact-instant expiry (one timer per lease).
-        self.sweep_interval = sweep_interval
         #: Fires with (lease,) when a term lapses without renewal.
         self.on_expired = Signal(f"{name}.on_expired")
         #: Fires with (lease,) when a lease is cancelled by its holder.
         self.on_cancelled = Signal(f"{name}.on_cancelled")
         self._leases: dict[str, Lease] = {}
         self._expiry_events: dict[str, Event] = {}
-        self._sweep_event: Event | None = None
-        #: Number of sweep passes run (batched mode only).
-        self.sweeps = 0
 
     # -- issuing ------------------------------------------------------------------
 
@@ -144,9 +133,6 @@ class LeaseTable:
             event.cancel()
         self._expiry_events.clear()
         self._leases.clear()
-        if self._sweep_event is not None:
-            self._sweep_event.cancel()
-            self._sweep_event = None
 
     # -- plumbing ----------------------------------------------------------------------
 
@@ -156,55 +142,12 @@ class LeaseTable:
         return duration
 
     def _schedule_expiry(self, lease: Lease) -> None:
-        if self.sweep_interval is not None:
-            # Batched mode: no per-lease event at all — a renewal costs
-            # zero kernel events on the table side.  Just make sure the
-            # per-table sweep is armed.
-            self._arm_sweep()
-            return
         old = self._expiry_events.pop(lease.lease_id, None)
         if old is not None:
             old.cancel()
         self._expiry_events[lease.lease_id] = self.simulator.schedule_at(
             lease.expires_at, self._expire, lease.lease_id, lease.expires_at
         )
-
-    def _arm_sweep(self) -> None:
-        if self._sweep_event is None:
-            self._sweep_event = self.simulator.schedule(
-                self.sweep_interval, self._sweep
-            )
-
-    def _sweep(self) -> None:
-        """One batched expiry pass: lapse every overdue lease.
-
-        Leases expire in grant order within a pass (dict insertion
-        order), keeping the whole table deterministic.  The sweep
-        disarms itself when the table empties and is re-armed by the
-        next grant.
-        """
-        self._sweep_event = None
-        self.sweeps += 1
-        now = self.simulator.now
-        overdue = [
-            lease for lease in self._leases.values() if lease.expires_at <= now
-        ]
-        recorder = _telemetry.get_recorder()
-        if overdue:
-            recorder.count("lease.sweep.expired", len(overdue), table=self.name)
-        for lease in overdue:
-            lease.state = LeaseState.EXPIRED
-            self._drop(lease)
-            recorder.count("lease.expired", table=self.name)
-            recorder.event(
-                "lease.expired",
-                table=self.name,
-                holder=lease.holder,
-                resource=str(lease.resource),
-            )
-            self.on_expired.fire(lease)
-        if self._leases:
-            self._arm_sweep()
 
     def _expire(self, lease_id: str, expected_expiry: float) -> None:
         lease = self._leases.get(lease_id)

@@ -266,7 +266,19 @@ class ExtensionBase:
         lookup.on_registered.connect(
             lambda item: self._service_seen(item, fresh=True)
         )
-        lookup.on_deregistered.connect(self._service_gone)
+
+        def service_gone(item: ServiceItem, kind: object) -> None:
+            # Each arrival registers a new item, so a node that left and
+            # came back can still hold a live item here when an older one
+            # ends; the ended item is already out of ``items()``.
+            if not any(
+                live.interface == ADAPTATION_INTERFACE
+                and live.provider == item.provider
+                for live in lookup.items()
+            ):
+                self._service_gone(item, kind)
+
+        lookup.on_deregistered.connect(service_gone)
         for item in lookup.items():
             self._service_seen(item)
         if self._reconciler is None:

@@ -141,8 +141,8 @@ class Simulator:
         Called by :meth:`Event.cancel` only (at most once per event).
         Compaction triggers when more than half of a non-trivial queue is
         canceled — the classic lazy-deletion amortization, which matters
-        once fleets park hundreds of thousands of renewal/expiry timers
-        that are mostly rescheduled (canceled + re-pushed) before firing.
+        once a run parks many renewal/expiry timers that are mostly
+        rescheduled (canceled + re-pushed) before firing.
         """
         self._live -= 1
         dead = len(self._queue) - self._live

@@ -4,7 +4,7 @@ Layers 1 and 2 (:mod:`repro.telemetry`) collect raw material — counters,
 histograms, spans, flight rings.  This package is the **third
 observability layer**: it consumes the same stream a
 :class:`~repro.telemetry.registry.MetricsRegistry` records and produces
-*judgments* that stay cheap at fleet scale:
+*judgments* whose cost does not grow with the event count:
 
 - :mod:`~repro.telemetry.health.windows` — fixed-cost sliding-window
   accumulators (ring buffers advanced by timestamps, clock-agnostic);
@@ -23,7 +23,7 @@ observability layer**: it consumes the same stream a
   ties it together and hangs off a registry (``plane.attach(registry)``);
 - :mod:`~repro.telemetry.health.tower` — the control tower:
   ``python -m repro ops`` renders the live dashboard (statuses, burning
-  SLOs, hot join points, fleet heatlines) with ``--json`` for scripts.
+  SLOs, hot join points, pipelines) with ``--json`` for scripts.
 
 Quick use::
 

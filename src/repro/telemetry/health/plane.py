@@ -10,10 +10,9 @@ Two modes of feeding it:
   ``is not None`` check per sample (benchmarked in
   ``benchmarks/bench_o3_health_overhead.py``).
 
-- **Detached** (fleet scale): no global recorder at all — harness code
-  calls :meth:`ingest_count` / :meth:`ingest_gauge` with explicit
-  timestamps.  The fleet's per-region sweeps feed one plane this way
-  without ever installing process-global telemetry.
+- **Detached**: no registry at all — the caller feeds counters through
+  :meth:`ingest_count` with explicit timestamps, and the plane's clock is
+  the freshest timestamp its SLO windows have seen.
 
 Burn evaluation happens on :meth:`tick` — run it from a
 :class:`~repro.sim.timers.PeriodicTimer` (see :meth:`start`) or call it
@@ -40,7 +39,7 @@ from repro.telemetry.metrics import LabelKey, label_key
 
 
 class HealthPlane:
-    """The third observability layer over one registry (or one fleet)."""
+    """The third observability layer over one registry's sample stream."""
 
     def __init__(
         self,
@@ -155,7 +154,7 @@ class HealthPlane:
             return
         self.engine.on_gauge(now, name, labels, value)
 
-    # -- detached stream (explicit timestamps; fleet harnesses) ------------------
+    # -- detached stream (explicit timestamps) -----------------------------------
 
     def ingest_count(
         self, now: float, name: str, amount: float = 1.0, **labels: Any
@@ -163,22 +162,6 @@ class HealthPlane:
         key = label_key(labels)
         self.book.on_count(now, name, key, amount)
         self.engine.on_count(now, name, key, amount)
-
-    def ingest_gauge(self, now: float, name: str, value: float, **labels: Any) -> None:
-        key = label_key(labels)
-        self.engine.on_gauge(now, name, key, value)
-
-    def ingest_observe(
-        self,
-        now: float,
-        name: str,
-        value: float,
-        bounds: tuple[float, ...],
-        **labels: Any,
-    ) -> None:
-        key = label_key(labels)
-        self.book.on_observe(now, name, key, value, bounds)
-        self.engine.on_observe(now, name, key, value)
 
     # -- probes ------------------------------------------------------------------
 

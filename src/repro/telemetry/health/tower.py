@@ -10,8 +10,7 @@ plane's outputs (plus a few platform surfaces):
 - the run's alert log (firing/recovered edges, oldest first),
 - streaming rollup series (rates, error ratios, quantile sketches),
 - the hottest join points from the advice profiler,
-- base-station pipeline depth / shedding,
-- fleet region heatlines (renewals per sweep as sparklines).
+- base-station pipeline depth / shedding.
 
 Everything renders from one JSON-safe snapshot dict
 (:func:`tower_snapshot`), so ``--json`` is the same data the text view
@@ -32,7 +31,6 @@ BLOCKS = "▁▂▃▄▅▆▇█"
 TOP_JOINPOINTS = 5
 TOP_ROLLUPS = 10
 TOP_ALERTS = 12
-TOP_REGIONS = 16
 
 
 def sparkline(values: list[float]) -> str:
@@ -56,7 +54,6 @@ def tower_snapshot(
     plane: Any,
     *,
     platform: Any = None,
-    fleet: Any = None,
     profiler: Any = None,
     extra: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
@@ -87,7 +84,6 @@ def tower_snapshot(
             else []
         ),
         "pipelines": _pipeline_stats(platform) if platform is not None else {},
-        "fleet": _fleet_panel(fleet) if fleet is not None else None,
     }
     if extra:
         snapshot.update(extra)
@@ -101,22 +97,6 @@ def _pipeline_stats(platform: Any) -> dict[str, Any]:
         if pipeline is not None:
             out[base_id] = pipeline.stats()
     return out
-
-
-def _fleet_panel(fleet: Any) -> dict[str, Any]:
-    """Region totals plus per-sweep renewal series for heatlines."""
-    series: dict[str, list[float]] = {}
-    for region in range(1, fleet.plan.regions):
-        series[str(region)] = [
-            float(row[2])  # renewed count of each sweep log row
-            for row in fleet.region_logs[region]
-            if row[1] == "sweep"
-        ]
-    return {
-        "regions": fleet.region_activity(),
-        "renewed_series": series,
-        "stats": fleet.stats(),
-    }
 
 
 # -- rendering --------------------------------------------------------------------
@@ -252,20 +232,6 @@ def render_tower(snapshot: dict[str, Any], top: int = TOP_JOINPOINTS) -> str:
                 f"max={entry['maximum'] * 1e6:.1f}us"
             )
 
-    fleet = snapshot.get("fleet")
-    if fleet is not None:
-        lines.append("fleet regions (renewals per sweep):")
-        regions = fleet["regions"]
-        for info in regions[:TOP_REGIONS]:
-            series = fleet["renewed_series"].get(str(info["region"]), [])
-            lines.append(
-                f"  region {info['region']:>3}  {sparkline(series):<24} "
-                f"renewed={info['renewed']} expired={info['expired']} "
-                f"sweeps={info['sweeps']}"
-            )
-        if len(regions) > TOP_REGIONS:
-            lines.append(f"  ... {len(regions) - TOP_REGIONS} more region(s)")
-
     return "\n".join(lines)
 
 
@@ -334,25 +300,9 @@ def run_load_ops(args: argparse.Namespace) -> dict[str, Any]:
     return snapshot
 
 
-def run_fleet_ops(args: argparse.Namespace) -> dict[str, Any]:
-    from repro.fleet.population import FleetBuilder
-
-    fleet = FleetBuilder(leaves=args.leaves, seed=args.seed).build()
-    fleet.distribute("fleet-policy")
-    fleet.run_epochs(args.epochs)
-    fleet.health.tick()
-    return tower_snapshot(
-        "fleet",
-        fleet.health,
-        fleet=fleet,
-        extra={"seed": args.seed, "leaves": args.leaves, "epochs": args.epochs},
-    )
-
-
 RUNNERS: dict[str, Callable[[argparse.Namespace], dict[str, Any]]] = {
     "storm": run_storm_ops,
     "load": run_load_ops,
-    "fleet": run_fleet_ops,
 }
 
 
@@ -362,7 +312,7 @@ def main(
     parser = argparse.ArgumentParser(
         prog="python -m repro ops",
         description="Control tower: health statuses, SLO burn, hot join "
-        "points, pipelines, fleet heatlines — over a seeded scenario.",
+        "points, pipelines — over a seeded scenario.",
     )
     parser.add_argument(
         "scenario",
@@ -378,12 +328,6 @@ def main(
         default=0.4,
         metavar="F",
         help="storm only: ROAMED announcement drop fraction (0 = clean run)",
-    )
-    parser.add_argument(
-        "--leaves", type=int, default=4096, help="fleet only: leaf count"
-    )
-    parser.add_argument(
-        "--epochs", type=int, default=40, help="fleet only: epochs to run"
     )
     parser.add_argument(
         "--dump-dir",

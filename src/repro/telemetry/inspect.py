@@ -118,40 +118,6 @@ def node_report(
     raise KeyError(f"no node {node_id!r} on this platform")
 
 
-def fleet_report(fleet: Any) -> dict[str, Any]:
-    """Region and tree aggregates for a built fleet.
-
-    The per-leaf state never appears — at 100k nodes the interesting
-    operator surface is per-region sweep activity and per-registrar
-    subtree accounting.
-    """
-    return {
-        "role": "fleet",
-        "time": fleet.kernel.time,
-        "leaves": len(fleet.population),
-        "population": fleet.population.counts(),
-        "regions": fleet.region_activity(),
-        "tree": [
-            {
-                "registrar": registrar.index,
-                "installs": registrar.leaf_installs,
-                "renewals": registrar.leaf_renewals,
-                "expiries": registrar.leaf_expiries,
-                "revocations": registrar.leaf_revocations,
-                "renew_batches": registrar.renew_batches,
-                "heads": registrar.head_registrations,
-            }
-            for registrar in fleet.registrars
-        ],
-        "pipeline": (
-            fleet.base.extension_base.pipeline.stats()
-            if fleet.base.extension_base.pipeline is not None
-            else None
-        ),
-        "handoffs": fleet.kernel.handoffs_delivered,
-    }
-
-
 def platform_report(platform: Any, tail: int = TAIL_EVENTS) -> list[dict[str, Any]]:
     """Reports for every node, bases first, each sorted by id."""
     return [
@@ -249,47 +215,6 @@ def render_report(report: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def render_fleet_report(report: dict[str, Any]) -> str:
-    """Human-readable rendering of one :func:`fleet_report`."""
-    header = (
-        f"fleet ({report['leaves']} leaves) at t={report['time']:.1f}"
-    )
-    lines = [header, "-" * len(header)]
-    counts = ", ".join(f"{k}={v}" for k, v in report["population"].items() if v)
-    lines.append(f"  population: {counts}")
-    lines.append("  regions:")
-    for region in report["regions"]:
-        lines.append(
-            f"    region {region['region']:>3}: sweeps={region['sweeps']} "
-            f"renewed={region['renewed']} expired={region['expired']}"
-        )
-    lines.append("  registrar tree:")
-    for row in report["tree"]:
-        lines.append(
-            f"    registrar {row['registrar']:>3}: heads={row['heads']} "
-            f"installs={row['installs']} renewals={row['renewals']} "
-            f"expiries={row['expiries']} batches={row['renew_batches']}"
-        )
-    pipeline = report.get("pipeline")
-    if pipeline is not None:
-        lines.append(
-            f"  base pipeline: depth={pipeline['depth']} "
-            f"completed={pipeline['completed']} shed={pipeline['shed']}"
-        )
-    lines.append(f"  handoffs delivered: {report['handoffs']}")
-    return "\n".join(lines)
-
-
-def _demo_fleet() -> Any:
-    """A small fleet, driven far enough to have sweep/tree activity."""
-    from repro.fleet.population import FleetBuilder
-
-    fleet = FleetBuilder(leaves=2048, seed=7).build()
-    fleet.distribute("fleet-policy")
-    fleet.run_epochs(30)
-    return fleet
-
-
 def _demo_platform() -> Any:
     """The shared demo world, run far enough to have live state."""
     from repro.resilience import RetryPolicy
@@ -330,20 +255,7 @@ def main(
         metavar="N",
         help="flight-recorder events to show per node",
     )
-    parser.add_argument(
-        "--fleet",
-        action="store_true",
-        help="inspect the demo fleet instead: region and tree aggregates",
-    )
     args = parser.parse_args(argv)
-
-    if args.fleet:
-        report = fleet_report(_demo_fleet())
-        if args.json:
-            out(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            out(render_fleet_report(report))
-        return 0
 
     platform = _demo_platform()
     try:

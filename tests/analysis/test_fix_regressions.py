@@ -76,18 +76,3 @@ class TestTupleSpaceClientErrorPaths:
         assert len(errors) == 1
         assert not lonely_transport.serves(operation)
 
-
-class TestFleetSendAccounting:
-    def test_fleet_exposes_send_error_accounting(self):
-        """Lost registrar requests are counted (never fingerprinted)."""
-        from repro.fleet.population import FleetBuilder
-
-        fleet = FleetBuilder(leaves=8, leaves_per_cluster=4, seed=7).build()
-        assert fleet.send_errors == 0
-        assert fleet.stats()["send_errors"] == 0
-        fleet.distribute("fleet-policy")
-        fleet.run_epochs(4)
-        # The base answers in-sim, so the healthy path stays error-free
-        # and the fingerprint-bearing counters are untouched by the fix.
-        assert fleet.send_errors == 0
-        assert fleet.offers_sent > 0

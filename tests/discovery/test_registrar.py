@@ -9,7 +9,6 @@ from repro.discovery.registrar import (
     QUERY,
     REGISTER,
     RENEW,
-    RENEW_BATCH,
     LookupService,
 )
 from repro.discovery.service import ServiceItem, ServiceTemplate
@@ -191,61 +190,3 @@ class TestAnnouncements:
         sim.run_for(1.0)
         assert heard and heard[0]["registrar"] == "base"
 
-
-class TestRenewBatch:
-    """One round trip renews many leases; losers are reported, not fatal."""
-
-    def test_batch_renews_every_listed_lease(self, sim, world):
-        lookup, client = world
-        ids = [
-            register(sim, client, ServiceItem(f"svc.{i}", "client"), duration=10.0)[
-                "lease_id"
-            ]
-            for i in range(5)
-        ]  # registration i lands at t≈i; all expire by t≈15
-        sim.run_for(3.0)
-        replies = []
-        client.request(
-            "base", RENEW_BATCH, {"lease_ids": ids}, on_reply=replies.append
-        )
-        sim.run_for(1.0)
-        assert set(replies[0]["renewed"]) == set(ids)
-        assert replies[0]["unknown"] == []
-        sim.run_for(8.0)  # past every original expiry, within renewed terms
-        assert lookup.registration_count() == 5
-
-    def test_batch_reports_unknown_ids(self, sim, world):
-        lookup, client = world
-        good = register(sim, client, ServiceItem("svc.A", "client"), duration=5.0)[
-            "lease_id"
-        ]
-        replies = []
-        client.request(
-            "base",
-            RENEW_BATCH,
-            {"lease_ids": [good, "lease-bogus"]},
-            on_reply=replies.append,
-        )
-        sim.run_for(1.0)
-        assert list(replies[0]["renewed"]) == [good]
-        assert replies[0]["unknown"] == ["lease-bogus"]
-
-    def test_batch_against_sweeping_table(self, sim, network):
-        base = network.attach(NetworkNode("base", Position(0, 0)))
-        client_node = network.attach(NetworkNode("client", Position(5, 0)))
-        lookup = LookupService(
-            Transport(base, sim), sim, sweep_interval=1.0
-        )
-        client = Transport(client_node, sim)
-        ids = [
-            register(sim, client, ServiceItem(f"svc.{i}", "client"), duration=4.0)[
-                "lease_id"
-            ]
-            for i in range(3)
-        ]
-        for _ in range(4):
-            client.request("base", RENEW_BATCH, {"lease_ids": ids})
-            sim.run_for(3.0)
-        assert lookup.registration_count() == 3
-        sim.run_for(10.0)  # renewals stop: the sweep lapses all three
-        assert lookup.registration_count() == 0

@@ -39,7 +39,7 @@ RUNS = {
 
 GOLDEN = {
     "smoke": "23a166d1e3563e32a9552b3c028a3dca653f1decaec4b04cb0ce622be6d12524",
-    "smoke-lossy": "8b72a6bc114817fb39264db0c2df2f59bc5d22b28c070c31cb23d09a47ca2fb8",
+    "smoke-lossy": "bfaa7f729b083d53dcccadaff8ca4f67676a150712b508e9233c873163452490",
 }
 
 

@@ -265,3 +265,21 @@ def test_reconcile_of_a_node_whose_offers_fail_does_not_re_announce_it():
     assert registry.counter_total("midas.roam.announced") == 1
     assert base_a._roam_epochs["dev-1"] == joined
     assert base_b._roam_epochs["dev-1"] == joined
+
+
+def test_expiry_of_a_stale_registration_does_not_drop_a_node_homed_here():
+    """Each arrival registers a new service item, so a node that leaves
+    base-a and returns within the registrar term leaves its first item
+    to expire there.  That expiry must not drop the node while its
+    newer registration at base-a is live."""
+    platform, registry, base_a, base_b, node = build_world()
+    moves = {10: "base-b", 20: "base-a"}  # half-second step -> new home
+    node.join("base-a")
+    untracked = []
+    for step in range(80):  # sample every 0.5 s up to 40 s
+        if step in moves:
+            node.migrate(moves[step])
+        platform.run_for(0.5)
+        if node.home == "base-a" and not tracks(base_a, "dev-1"):
+            untracked.append(platform.now)
+    assert untracked == []

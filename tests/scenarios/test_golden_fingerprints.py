@@ -28,7 +28,6 @@ from repro.scenarios import (
     run_storm,
     soak,
 )
-from tests.fleet.test_determinism import drive
 
 #: name -> a zero-argument run returning its fingerprint.
 RUNS = {
@@ -51,7 +50,6 @@ RUNS = {
     # Waves, revocation, quarantine reports, partitions and churn (nodes
     # leave and rejoin) in one storm.
     "soak-60-seed3": lambda: run_storm(soak(nodes=60, seed=3)).fingerprint,
-    "fleet-drive-2-shards": lambda: drive(2).fingerprint(),
 }
 
 GOLDEN = {
@@ -63,8 +61,7 @@ GOLDEN = {
     "roaming-60-seed7-one-lease": "4e88654a4ddfbaefc3cfba2cc314a32a3313385999b995f1c2482207554bde35",
     "revocation-seed3-one-lease": "f52851bb4148497293032f780e62b4bb65dfb2c867b69e3a8aa9c977409a0bca",
     "partition-seed3-one-lease": "7413dcd8562f3a526a2690dee1770f763b1ec7c2822562930b3ee06e4786d207",
-    "soak-60-seed3": "e32b5f4da96636bef91b8d0de810388f36bee2de28830be08b72989ba668b4f3",
-    "fleet-drive-2-shards": "f3ec0f2a72e3a87df76dff0ff60aad953d958c06f8fa9f4f1f37876c2ca0c894",
+    "soak-60-seed3": "69b2eef123a503aee62b1c20ddada32c99e634b094af698144b1b7f72bc65d39",
 }
 
 

@@ -91,32 +91,17 @@ class TestTowerSnapshot:
 
 
 class TestOpsCli:
-    def test_fleet_json_healthy(self, capsys):
+    def test_load_json_healthy(self):
         lines: list[str] = []
-        code = main(
-            [
-                "fleet",
-                "--leaves",
-                "512",
-                "--epochs",
-                "10",
-                "--json",
-                "--expect",
-                "healthy",
-            ],
-            out=lines.append,
-        )
+        code = main(["load", "--json", "--expect", "healthy"], out=lines.append)
         assert code == 0
         snapshot = json.loads("\n".join(lines))
         assert snapshot["verdict"] == "healthy"
-        assert snapshot["fleet"]["regions"]
+        assert snapshot["pipelines"]["base"]["completed"] > 0
 
     def test_expect_mismatch_exits_2(self):
         lines: list[str] = []
-        code = main(
-            ["fleet", "--leaves", "512", "--epochs", "10", "--expect", "burning"],
-            out=lines.append,
-        )
+        code = main(["load", "--expect", "burning"], out=lines.append)
         assert code == 2
         assert any("EXPECTATION FAILED" in line for line in lines)
 

@@ -115,39 +115,3 @@ class TestPipelineInReport:
         text = render_report(node_report(world.platform, "hall-A"))
         assert "pipeline" in text  # stats line or the direct-dispatch note
 
-
-class TestFleetReport:
-    @pytest.fixture(scope="class")
-    def fleet(self):
-        from repro.fleet import FleetBuilder
-
-        fleet = FleetBuilder(leaves=512, seed=7).build()
-        fleet.distribute("fleet-policy")
-        fleet.run_epochs(15)
-        return fleet
-
-    def test_fleet_report_shape(self, fleet):
-        from repro.telemetry.inspect import fleet_report
-
-        report = fleet_report(fleet)
-        assert report["role"] == "fleet"
-        assert report["leaves"] == 512
-        assert report["regions"] and report["tree"]
-        assert all(row["sweeps"] > 0 for row in report["regions"])
-        assert sum(row["installs"] for row in report["tree"]) > 0
-        json.dumps(report)
-
-    def test_fleet_rendering(self, fleet):
-        from repro.telemetry.inspect import fleet_report, render_fleet_report
-
-        text = render_fleet_report(fleet_report(fleet))
-        assert "registrar tree:" in text
-        assert "regions:" in text
-        assert "handoffs delivered:" in text
-
-    def test_cli_fleet_flag(self):
-        lines = []
-        assert inspect_main(["--fleet", "--json"], out=lines.append) == 0
-        report = json.loads("\n".join(lines))
-        assert report["role"] == "fleet"
-        assert report["leaves"] == 2048
