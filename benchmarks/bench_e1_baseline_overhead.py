@@ -1,14 +1,14 @@
-"""E1 — whole-application overhead of an activated (stub-only) PROSE VM.
+"""E1 — whole-application overhead of an activated PROSE VM.
 
 Paper (§4.6): "When no extensions are added, an overhead of about 7%
 (measured using a SPECjvm benchmark) could be observed."
 
 We run the SPECjvm-like workload suite twice: with its classes pristine,
-and with them loaded into a ProseVM (every method stubbed, *no* advice
-anywhere).  Field writes stay plain: a class gets its ``__setattr__``
-stub only while field advice is active.  The expected shape: a small
-constant multiplicative overhead, because only the method hook's fast
-path is added to every call.
+and with them loaded into a ProseVM (every method copied and given a
+hook table, *no* advice anywhere).  An unadvised method runs its own
+code, and a class gets its ``__setattr__`` stub only while field advice
+is active.  The expected shape: no overhead beyond noise, below the
+paper's 7%, which PROSE pays because its JIT hooks every join point.
 
 Compare the two benchmark groups, or see ``overhead_percent`` in the
 instrumented benchmark's extra_info.
@@ -48,16 +48,16 @@ def test_e1_plain_vm(benchmark):
 
 @pytest.mark.benchmark(group="e1-baseline-overhead")
 def test_e1_prose_activated_no_extensions(benchmark, vm):
-    """Suite iteration with every class stubbed but no advice active."""
+    """Suite iteration with every class loaded but no advice active."""
     plain_seconds = _measure()
     for cls in workload_classes():
         vm.load_class(cls)
     suite = make_suite()
     benchmark(suite.run_once)
-    stubbed_seconds = _measure()
-    overhead = (stubbed_seconds / plain_seconds - 1.0) * 100.0
+    loaded_seconds = _measure()
+    overhead = (loaded_seconds / plain_seconds - 1.0) * 100.0
     benchmark.extra_info["plain_seconds_per_iter"] = plain_seconds
-    benchmark.extra_info["stubbed_seconds_per_iter"] = stubbed_seconds
+    benchmark.extra_info["loaded_seconds_per_iter"] = loaded_seconds
     benchmark.extra_info["overhead_percent"] = round(overhead, 1)
     benchmark.extra_info["paper_overhead_percent"] = 7.0
 

@@ -3,20 +3,22 @@
 Measures the costs the weaver pays at each stage, versus the number of
 potential join points:
 
-- ``load_class`` — planting minimal hooks at every join point (the
-  paper's JIT-time stub insertion);
+- ``load_class`` — copying every method and creating its hook table
+  (the paper's JIT-time stub insertion);
 - ``insert`` / ``withdraw`` — activating/deactivating an aspect, i.e.
-  matching its crosscut against all join points and recompiling dispatch
-  chains.
+  matching its crosscut against all join points, recompiling dispatch
+  chains and swapping each method's dispatcher code in or out.
 
 Shape: all three scale roughly linearly with the join-point count, and
 none of them is paid per call afterwards (see E1/E2).
 
-Methods are hooked at load, because callers capture method references
-that a later re-stub would miss, so ``load_class`` pays for every method
-stub and an insert only recompiles dispatch cells.  A ``__setattr__``
-stub is planted by the first field advice and removed with the last; the
-method-only aspects here never pay for one.
+Methods are copied at load, because callers capture method references
+and all of them must share the function whose code advice swaps.
+``load_class`` compiles nothing.  The first insert on a method code
+object compiles its dispatcher, and every later insert only binds that
+code to its hook table.  A ``__setattr__`` stub is planted by the first
+field advice and removed with the last; the method-only aspects here
+never pay for one.
 """
 
 import pytest
@@ -46,7 +48,7 @@ def make_aspect() -> Aspect:
 @pytest.mark.benchmark(group="f1-load-class")
 @pytest.mark.parametrize("methods", [10, 100, 1000])
 def test_f1_load_class(benchmark, methods):
-    """Hook-planting cost vs. join-point count."""
+    """Load cost (a copy and a hook table per method) vs. join-point count."""
 
     def plant():
         vm = ProseVM()

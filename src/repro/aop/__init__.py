@@ -10,8 +10,10 @@ deactivates them, all at run time and without restarting the application.
 Our Python analogue keeps the same architecture:
 
 - :class:`~repro.aop.vm.ProseVM` "loads" classes by rewriting them in
-  place — every method is replaced by a stub with a constant-cost fast
-  path, and ``__setattr__`` is stubbed while field-write advice is active.
+  place — every method is replaced by a copy that runs its own code until
+  advice swaps in a dispatcher, and ``__setattr__`` is stubbed while
+  field-write advice is active.  Nothing stands in front of a join point
+  that no advice needs.
 - :class:`~repro.aop.aspect.Aspect` is the first-class extension unit;
   advice methods are declared with :func:`before` / :func:`after` /
   :func:`around` / :func:`after_throwing` decorators over crosscuts.

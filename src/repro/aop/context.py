@@ -1,11 +1,12 @@
 """Dynamic execution contexts passed to advice.
 
-When a stub fires, the dispatcher builds a context describing the dynamic
-join point — the target object, arguments, result or exception — and hands
-it to every piece of advice.  Advice communicates back through the same
-object: a ``before`` advice may rewrite ``args`` (the paper's encryption
-example), an ``around`` advice calls :meth:`ExecutionContext.proceed`, an
-``after`` advice may replace ``result``.
+When an advised method is called, its dispatch closure builds a context
+describing the dynamic join point — the target object, arguments, result
+or exception — and hands it to every piece of advice.  Advice
+communicates back through the same object: a ``before`` advice may
+rewrite ``args`` (the paper's encryption example), an ``around`` advice
+calls :meth:`ExecutionContext.proceed`, an ``after`` advice may replace
+``result``.
 """
 
 from __future__ import annotations

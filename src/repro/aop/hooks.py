@@ -1,33 +1,43 @@
 """Minimal hooks and advice dispatch.
 
-This module is the Python analogue of PROSE's JIT-level weaving (Fig. 1).
-When a class is loaded, every method is replaced by a *stub* produced by
-:func:`make_method_stub`.  A stub closes over a one-element ``cell``:
+This module is the Python analogue of PROSE's JIT-level weaving (Fig. 1),
+with one rule for every join point: nothing stands in front of a member
+until advice needs it.
 
-- fast path — ``cell[0] is None`` — no advice anywhere at this join
-  point; the stub calls the original directly.  This is the "minimal
-  hook" whose constant cost experiment E1 measures.
-- slow path — ``cell[0]`` holds a compiled dispatch closure built from
-  the currently active advice; the stub delegates to it.  This is the
-  interception path experiment E2 measures.
+Methods.  When a class is loaded, each method is replaced by a plain copy
+of its function, owned by a :class:`MethodHookTable`.  Unadvised, the
+copy runs its own code, so the minimal hook that experiment E1 measures
+costs nothing.  The first advice sets the copy's ``__code__`` to a
+*dispatcher*: generated code with the method's own signature that hands
+the call to the table's compiled dispatch closure, the interception path
+experiment E2 measures.  The last withdrawal puts the method's code back.
+Callers capture bound methods and ``Cls.method`` references; all of them
+share the copy's function object, so every reference sees the swap.
 
-Inserting or withdrawing an aspect edits the :class:`MethodHookTable`
-advice lists and recompiles the cell, so the cost of (de)activation is
-paid at weave time, never per call.
+The dispatcher reaches its table through a weak reference among its
+constants.  The cycle collector does not look inside code objects, so a
+strong reference there would keep every advised class alive.  Dispatcher
+code is compiled once per method code object; each table only binds its
+weak reference into a copy of it.
 
-Field-write join points use a stubbed ``__setattr__``
-(:func:`make_setattr_stub`) that has no fast path: its
-:class:`FieldHookTable` plants it with the first field advice and takes it
-out again with the last, so an unadvised field write costs nothing.
-Methods cannot work that way, because callers capture bound methods and
-``Cls.method`` references that a later re-stub would miss; every field
-write, by contrast, looks up ``type(obj).__setattr__`` afresh.
+Inserting or withdrawing an aspect edits the table's advice lists and
+recompiles the dispatch closure, so the cost of (de)activation is paid at
+weave time, never per call.
+
+Field writes.  :class:`FieldHookTable` plants a stubbed ``__setattr__``
+(:func:`make_setattr_stub`) with the first field advice and takes it out
+with the last.  Every write looks up ``type(obj).__setattr__`` afresh, so
+a stub planted later still sees all of them.
 """
 
 from __future__ import annotations
 
 import functools
+import warnings
+import weakref
+from inspect import CO_VARARGS, CO_VARKEYWORDS
 from time import perf_counter
+from types import CodeType, FunctionType
 from typing import Any, Callable
 
 from repro.aop.advice import Advice, AdviceKind
@@ -35,12 +45,6 @@ from repro.aop.context import ExecutionContext, FieldWriteContext, _MISSING
 from repro.aop.crosscut import ExceptionCut, FieldWriteCut
 from repro.aop.joinpoint import JoinPoint, JoinPointKind
 from repro.telemetry import runtime as _telemetry
-
-# Stub call-target styles.
-INSTANCE = "instance"
-CLASS = "class"
-STATIC = "static"
-
 
 class AdviceContainment:
     """Weaver-level containment hook applied to advice at weave time.
@@ -73,36 +77,44 @@ def _sort_key(entry: tuple[int, int, Any]) -> tuple[int, int]:
 
 
 class MethodHookTable:
-    """Per-method-join-point advice registry and dispatch compiler."""
+    """Per-method-join-point advice registry and dispatch compiler, and
+    owner of the copy of the method that the class holds."""
 
     __slots__ = (
         "joinpoint",
         "original",
-        "style",
+        "function",
+        "static",
         "owner",
-        "cell",
+        "dispatch",
         "interceptions",
         "_entries",
         "_seq",
         "_jp_label",
+        "__weakref__",
     )
 
     def __init__(
         self,
         joinpoint: JoinPoint,
-        original: Callable[..., Any],
-        style: str = INSTANCE,
+        original: FunctionType,
+        static: bool = False,
         owner: str = "prose",
     ):
         self.joinpoint = joinpoint
+        #: The method as defined; advised calls run its body.
         self.original = original
-        self.style = style
+        #: The copy the class holds, whose ``__code__`` advice swaps.
+        self.function = _copy_function(original)
+        self.function.__prose_table__ = self  # type: ignore[attr-defined]
+        #: A static method has no receiver: its target is None.
+        self.static = static
         #: Name of the VM (= node id on platform nodes) owning this hook;
         #: stamps dispatch-error events onto the right flight ring.
         self.owner = owner
-        #: One-element list read by the stub: None, or the dispatch closure.
-        self.cell: list[Callable[..., Any] | None] = [None]
-        #: Number of times the slow (interception) path ran.
+        #: The compiled dispatch closure while advice is active, else None.
+        self.dispatch: Callable[[Any, tuple, dict], Any] | None = None
+        #: Number of advised calls dispatched here.
         self.interceptions = 0
         # entries: kind -> list of (order, seq, Advice)
         self._entries: dict[AdviceKind, list[tuple[int, int, Advice]]] = {
@@ -115,7 +127,7 @@ class MethodHookTable:
     @property
     def advised(self) -> bool:
         """True if any advice is active at this join point."""
-        return self.cell[0] is not None
+        return self.dispatch is not None
 
     def advice_count(self) -> int:
         """Total number of active advice entries."""
@@ -153,9 +165,14 @@ class MethodHookTable:
             self._recompile()
         return removed
 
+    def restore(self) -> None:
+        """Put the method's own code back: every call runs plain again."""
+        self.function.__code__ = self.original.__code__
+        self.dispatch = None
+
     def _recompile(self) -> None:
         if self.advice_count() == 0:
-            self.cell[0] = None
+            self.restore()
             return
         befores = tuple(
             entry[2].callback
@@ -176,7 +193,7 @@ class MethodHookTable:
             )
         )
         joinpoint = self.joinpoint
-        if self.style == STATIC:
+        if self.static:
             # Static methods take no target; drop it before the real call.
             raw = self.original
 
@@ -243,132 +260,126 @@ class MethodHookTable:
                 )
                 recorder.count("prose.interceptions", 1, joinpoint=jp_label)
 
-        self.cell[0] = dispatch
+        swap = self.dispatch is None
+        self.dispatch = dispatch
+        if swap:
+            self.function.__code__ = _bind_dispatcher(self)
 
     def __repr__(self) -> str:
         return f"<MethodHookTable {self.joinpoint} advice={self.advice_count()}>"
 
 
-def _codegen_stub(table: MethodHookTable) -> Callable | None:
-    """Generate a stub with the original's exact signature.
+def _copy_function(function: FunctionType) -> FunctionType:
+    """A second function object over ``function``'s code and state.
 
-    Avoiding ``*args`` packing on the fast path roughly halves the hook's
-    constant cost — the Python analogue of keeping the minimal hook down
-    to a couple of instructions.  Returns None for signatures the
-    generator does not handle (keyword-only parameters, a receiver that
-    only ``*args`` holds); the caller falls back to the generic wrapper.
-    The signature is the function's own, not that of a ``__wrapped__``
-    function a decorator may have copied over.
+    Advice swaps the copy's code, never the original's: classes may share
+    function objects (one class built from another's namespace), and
+    advice on one must not reach the others.
     """
-    import inspect
+    copy = FunctionType(
+        function.__code__,
+        function.__globals__,
+        function.__name__,
+        function.__defaults__,
+        function.__closure__,
+    )
+    copy.__kwdefaults__ = function.__kwdefaults__
+    for attribute in functools.WRAPPER_ASSIGNMENTS:
+        setattr(copy, attribute, getattr(function, attribute))
+    copy.__dict__.update(function.__dict__)
+    return copy
 
-    original = table.original
-    try:
-        signature = inspect.signature(original, follow_wrapped=False)
-    except (TypeError, ValueError):
-        return None
 
-    declared: list[str] = []
-    passthrough: list[str] = []
-    tuple_items: list[str] = []
-    var_keyword: str | None = None
-    for param in signature.parameters.values():
-        if param.name.startswith("_prose"):
-            return None  # would shadow the generator's internals
-        if param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD):
-            declared.append(param.name)
-            passthrough.append(param.name)
-            tuple_items.append(param.name)
-        elif param.kind is param.VAR_POSITIONAL:
-            declared.append(f"*{param.name}")
-            passthrough.append(f"*{param.name}")
-            tuple_items.append(f"*{param.name}")
-        elif param.kind is param.VAR_KEYWORD:
-            declared.append(f"**{param.name}")
-            passthrough.append(f"**{param.name}")
-            var_keyword = param.name
-        else:  # keyword-only: not worth the complexity here
-            return None
+#: Stands for the weak reference to the table in compiled dispatcher
+#: code; not an identifier, so no parameter name can share the constant.
+_TABLE = "<prose table>"
 
-    if table.style == INSTANCE or table.style == CLASS:
-        if not tuple_items or tuple_items[0].startswith("*"):
-            return None  # no named receiver parameter
-        target = tuple_items[0]
-        rest = tuple_items[1:]
-    else:  # STATIC
+#: Dispatcher code per method code object, for instance and static
+#: methods.  Shared by every VM, because nodes load classes built from
+#: the same code; keyed weakly, so code that goes away takes its entry.
+_TEMPLATES: dict[bool, weakref.WeakKeyDictionary] = {
+    False: weakref.WeakKeyDictionary(),
+    True: weakref.WeakKeyDictionary(),
+}
+
+
+def _bind_dispatcher(table: MethodHookTable) -> CodeType:
+    """The dispatcher for ``table``'s method, bound to a weak reference."""
+    code = table.original.__code__
+    templates = _TEMPLATES[table.static]
+    template = templates.get(code)
+    if template is None:
+        template = templates[code] = _compile_dispatcher(code, table.static)
+    consts = template.co_consts
+    at = consts.index(_TABLE)
+    ref = weakref.ref(table)
+    return template.replace(co_consts=consts[:at] + (ref,) + consts[at + 1 :])
+
+
+def _compile_dispatcher(code: CodeType, static: bool) -> CodeType:
+    """Dispatcher code for a method whose code is ``code``.
+
+    It has the method's parameters, read from the code object, and as
+    many free variables, so the copy's closure (a ``super()`` cell
+    included) still fits.  Its one line passes the receiver, the
+    positional arguments and the keyword-only and ``**`` arguments to
+    the table's dispatch closure.  Name, file and first line are the
+    method's, so tracebacks and ``inspect`` still point at its source.
+    """
+    names = code.co_varnames
+    positional = list(names[: code.co_argcount])
+    keyword = names[code.co_argcount : code.co_argcount + code.co_kwonlyargcount]
+    extra = iter(names[len(positional) + len(keyword) :])
+    star = next(extra) if code.co_flags & CO_VARARGS else None
+    starstar = next(extra) if code.co_flags & CO_VARKEYWORDS else None
+
+    params = list(positional)
+    if code.co_posonlyargcount:
+        params.insert(code.co_posonlyargcount, "/")
+    if star or keyword:
+        params.append("*" + (star or ""))
+    params += keyword
+    if starstar:
+        params.append("**" + starstar)
+
+    items = positional + ([f"*{star}"] if star else [])
+    if static or not items:
         target = "None"
-        rest = tuple_items
-
-    args_tuple = "(" + ", ".join(rest) + ("," if rest else "") + ")"
-    kwargs_expr = var_keyword if var_keyword is not None else "{}"
-    name = getattr(original, "__name__", "method")
-    if not name.isidentifier():
-        return None
-
+    elif positional:
+        target = items.pop(0)
+    else:  # the receiver is the first of *args
+        target, items = f"{star}[0]", [f"*{star}[1:]"]
+    args = "(" + "".join(f"{item}, " for item in items) + ")"
+    kwargs = (
+        "{"
+        + "".join(f"{name!r}: {name}, " for name in keyword)
+        + (f"**{starstar}" if starstar else "")
+        + "}"
+    )
+    free = code.co_freevars
+    # The unreachable list declares the free variables at no cost per call.
     source = (
-        "def _factory(_prose_original, _prose_cell):\n"
-        f" def {name}({', '.join(declared)}):\n"
-        "  _prose_d = _prose_cell[0]\n"
-        "  if _prose_d is None:\n"
-        f"   return _prose_original({', '.join(passthrough)})\n"
-        f"  return _prose_d({target}, {args_tuple}, {kwargs_expr})\n"
-        f" return {name}\n"
+        "def _outer():\n"
+        + "".join(f" {name} = None\n" for name in free)
+        + f" def _dispatcher({', '.join(params)}):"
+        f" return {_TABLE!r}().dispatch({target}, {args}, {kwargs})"
+        f" if 1 else [{', '.join(free)}]\n"
+        " return _dispatcher\n"
     )
     namespace: dict[str, Any] = {}
-    try:
+    with warnings.catch_warnings():
+        # Calling the marker string draws a SyntaxWarning; the call runs
+        # on the weak reference bound in its place.
+        warnings.simplefilter("ignore", SyntaxWarning)
         exec(source, namespace)  # noqa: S102 - controlled codegen
-    except SyntaxError:
-        return None
-    stub = namespace["_factory"](original, table.cell)
-    try:
-        stub.__defaults__ = original.__defaults__
-    except AttributeError:
-        pass
-    return stub
-
-
-def make_method_stub(table: MethodHookTable) -> Callable:
-    """Build the minimal-hook wrapper installed in place of a method."""
-    original = table.original
-    cell = table.cell
-    style = table.style
-
-    generated = _codegen_stub(table)
-    if generated is not None:
-        functools.update_wrapper(generated, original)
-        generated.__prose_table__ = table  # type: ignore[attr-defined]
-        return generated
-
-    if style == INSTANCE:
-
-        def prose_stub(self: Any, *args: Any, **kwargs: Any) -> Any:
-            dispatch = cell[0]
-            if dispatch is None:
-                return original(self, *args, **kwargs)
-            return dispatch(self, args, kwargs)
-
-    elif style == CLASS:
-
-        def prose_stub(cls: Any, *args: Any, **kwargs: Any) -> Any:  # type: ignore[misc]
-            dispatch = cell[0]
-            if dispatch is None:
-                return original(cls, *args, **kwargs)
-            return dispatch(cls, args, kwargs)
-
-    elif style == STATIC:
-
-        def prose_stub(*args: Any, **kwargs: Any) -> Any:  # type: ignore[misc]
-            dispatch = cell[0]
-            if dispatch is None:
-                return original(*args, **kwargs)
-            return dispatch(None, args, kwargs)
-
-    else:  # pragma: no cover - internal misuse
-        raise ValueError(f"unknown stub style {style!r}")
-
-    functools.update_wrapper(prose_stub, original)
-    prose_stub.__prose_table__ = table  # type: ignore[attr-defined]
-    return prose_stub
+    where = {
+        "co_name": code.co_name,
+        "co_filename": code.co_filename,
+        "co_firstlineno": code.co_firstlineno,
+    }
+    if hasattr(code, "co_qualname"):  # Python 3.11+
+        where["co_qualname"] = code.co_qualname
+    return namespace["_outer"]().__code__.replace(**where)
 
 
 class FieldHookTable:

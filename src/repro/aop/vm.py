@@ -1,13 +1,16 @@
 """The PROSE-enabled virtual machine.
 
 :class:`ProseVM` is the run-time weaver — the analogue of the paper's
-modified JVM.  Loading a class rewrites it in place:
+modified JVM.  Loading a class rewrites it in place, and nothing stands
+in front of a join point until advice needs it (:mod:`repro.aop.hooks`):
 
-- every method defined on the class is replaced by a minimal-hook stub
-  (:mod:`repro.aop.hooks`), creating one method join point per method.
-  Methods are hooked at load, not on demand, because callers capture
-  bound methods and ``Cls.method`` references that a later re-stub
-  would miss;
+- every method defined on the class is replaced by a plain copy of its
+  function, creating one method join point per method.  The copy runs
+  the method's own code until advice arrives; then its ``__code__`` is
+  swapped for a dispatcher, and back on the last withdrawal.  Callers
+  capture bound methods and ``Cls.method`` references, and all of them
+  share the copy, so every reference sees the swap.  Functions without
+  Python code (``staticmethod(len)``) are not join points;
 - field-write join points are created lazily per assigned field, through
   a ``__setattr__`` stub that exists only while some field advice applies
   to the class.  Every write looks up ``type(obj).__setattr__`` again,
@@ -19,7 +22,7 @@ matching hooks.  Classes loaded *after* an insertion are matched against
 all currently inserted aspects, so the order of arrival (application code
 vs. extensions) does not matter — exactly the property MIDAS relies on.
 
-Unloading a class restores its original, unstubbed definition.
+Unloading a class puts its original functions back.
 """
 
 from __future__ import annotations
@@ -32,15 +35,7 @@ from typing import Any, Callable, Iterator
 from repro.aop.advice import Advice, AdviceKind
 from repro.aop.aspect import Aspect
 from repro.aop.crosscut import FieldWriteCut
-from repro.aop.hooks import (
-    CLASS,
-    INSTANCE,
-    STATIC,
-    AdviceContainment,
-    FieldHookTable,
-    MethodHookTable,
-    make_method_stub,
-)
+from repro.aop.hooks import AdviceContainment, FieldHookTable, MethodHookTable
 from repro.aop.joinpoint import JoinPoint, JoinPointKind
 from repro.aop.sandbox import AspectSandbox
 from repro.errors import (
@@ -58,17 +53,12 @@ logger = logging.getLogger(__name__)
 _ALLOWED_DUNDERS = {"__init__", "__call__"}
 
 
-def _is_weavable(name: str, value: object) -> tuple[bool, str]:
-    """Classify a class attribute: (weavable, stub style)."""
+def _is_weavable(name: str, value: object) -> bool:
+    """True if a class attribute is a method join point: a Python
+    function, or a static or class method over one."""
     if name.startswith("__") and name.endswith("__") and name not in _ALLOWED_DUNDERS:
-        return False, INSTANCE
-    if isinstance(value, staticmethod):
-        return True, STATIC
-    if isinstance(value, classmethod):
-        return True, CLASS
-    if inspect.isfunction(value):
-        return True, INSTANCE
-    return False, INSTANCE
+        return False
+    return inspect.isfunction(_unwrap(value))
 
 
 class _LoadedClass:
@@ -178,11 +168,12 @@ class ProseVM:
         return cls in self._loaded
 
     def load_class(self, cls: type, include_inherited: bool = False) -> type:
-        """Instrument ``cls`` in place, planting hooks at all join points.
+        """Instrument ``cls`` in place: a copy of each method, with a hook
+        table.
 
         With ``include_inherited=True``, public methods inherited from
-        uninstrumented bases are materialized as class-local stubs too, so
-        crosscuts naming ``cls`` can reach them.  Returns ``cls``.
+        uninstrumented bases are materialized as class-local copies too,
+        so crosscuts naming ``cls`` can reach them.  Returns ``cls``.
         """
         if cls in self._loaded:
             return cls
@@ -209,27 +200,26 @@ class ProseVM:
                 if raw is None:
                     continue
                 inherited = True
-            weavable, style = _is_weavable(name, raw)
-            if not weavable:
+            if not _is_weavable(name, raw):
                 continue
-            if hasattr(_unwrap(raw), "__prose_table__"):
-                continue  # already a stub (e.g. inherited from a loaded base)
             original = _unwrap(raw)
+            if hasattr(original, "__prose_table__"):
+                continue  # already a copy (e.g. inherited from a loaded base)
             table = MethodHookTable(
                 JoinPoint(JoinPointKind.METHOD, cls, name),
                 original,
-                style,
+                static=isinstance(raw, staticmethod),
                 owner=self.name,
             )
             if not inherited:
                 record.saved_attrs[name] = raw
             record.method_tables[name] = table
-            stub: Any = make_method_stub(table)
-            if style == STATIC:
-                stub = staticmethod(stub)
-            elif style == CLASS:
-                stub = classmethod(stub)
-            setattr(cls, name, stub)
+            copy: Any = table.function
+            if isinstance(raw, staticmethod):
+                copy = staticmethod(copy)
+            elif isinstance(raw, classmethod):
+                copy = classmethod(copy)
+            setattr(cls, name, copy)
             self.stats.note("methods_stubbed")
 
         self.stats.note("classes_loaded")
@@ -240,15 +230,20 @@ class ProseVM:
         return cls
 
     def unload_class(self, cls: type) -> None:
-        """Restore ``cls`` to its original, uninstrumented definition."""
+        """Restore ``cls`` to its original, uninstrumented definition.
+
+        The copies get their own code back too, so references captured
+        while the class was loaded run plain.
+        """
         record = self._loaded.pop(cls, None)
         if record is None:
             raise ClassNotLoadedError(f"{cls!r} is not loaded in this VM")
         for name, table in record.method_tables.items():
+            table.restore()
             if name in record.saved_attrs:
                 setattr(cls, name, record.saved_attrs[name])
             else:
-                delattr(cls, name)  # materialized inherited stub
+                delattr(cls, name)  # materialized inherited copy
             for insertion in self._insertions.values():
                 insertion.tables.discard(table)
         record.field_table.restore()
@@ -277,7 +272,7 @@ class ProseVM:
         ]
 
     def interception_count(self) -> int:
-        """Total slow-path dispatches across all hooks."""
+        """Total dispatches through advised join points."""
         total = 0
         for record in self._loaded.values():
             for table in record.method_tables.values():

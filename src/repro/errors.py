@@ -41,10 +41,6 @@ class UnknownNodeError(NetworkError):
     """A message was addressed to a node id not attached to the network."""
 
 
-class NotReachableError(NetworkError):
-    """The destination node is outside radio range or partitioned away."""
-
-
 class TransportError(NetworkError):
     """A request/reply exchange failed (timeout, dropped reply, ...)."""
 
@@ -123,10 +119,6 @@ class SandboxViolation(AopError):
 
 class DiscoveryError(ReproError):
     """Base class for spontaneous-networking (discovery) errors."""
-
-
-class NoRegistrarError(DiscoveryError):
-    """No lookup service responded to a discovery request."""
 
 
 class RegistrationError(DiscoveryError):

@@ -381,10 +381,9 @@ def prom_text(source: _Source) -> str:
     Counters get a ``_total`` suffix; histograms emit cumulative
     ``_bucket{le=...}`` series plus ``_sum``/``_count`` (and the
     implicit ``+Inf`` bucket), matching what a real scrape endpoint
-    would serve.  Label semantics are the registry's: values past a
-    cardinality cap arrive already folded into the ``~other`` series,
-    so the exposition stays bounded at fleet scale.  Events, spans and
-    flight records have no Prometheus shape and are skipped.
+    would serve.  Each label set the registry recorded is one series.
+    Events, spans and flight records have no Prometheus shape and are
+    skipped.
     """
     records = _records_of(source)
     lines: list[str] = []

@@ -16,9 +16,8 @@ names with the repo's ``*`` wildcards, so one rule covers a family
 Cost model: each incoming sample touches the (cached) list of rules
 matching its metric name and does an O(1) amortized window update per
 matching rule — never a scan of recorded history.  Label keys arrive
-*already capped and interned* by the registry, so values past a
-cardinality cap all land on the single ``~other`` series instead of
-forking a series per capped value.
+*already interned* by the registry, so equal label sets share one key
+object.
 """
 
 from __future__ import annotations
@@ -175,8 +174,7 @@ class RollupBook:
 
     Series are keyed by ``(rule, metric name, interned label key)``; the
     label key object arrives interned from the registry, so the dict key
-    is cheap and overflow (``~other``) label sets share one series by
-    construction.
+    is cheap.
     """
 
     def __init__(self, rules: Iterator[RollupRule] | list[RollupRule] = ()):

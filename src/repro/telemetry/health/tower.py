@@ -24,26 +24,10 @@ import argparse
 import json
 from typing import Any, Callable
 
-#: Sparkline blocks, lowest to highest.
-BLOCKS = "▁▂▃▄▅▆▇█"
-
 #: Default row caps for the text view.
 TOP_JOINPOINTS = 5
 TOP_ROLLUPS = 10
 TOP_ALERTS = 12
-
-
-def sparkline(values: list[float]) -> str:
-    """One unicode sparkline; empty input renders empty."""
-    if not values:
-        return ""
-    lo, hi = min(values), max(values)
-    if hi <= lo:
-        return BLOCKS[0] * len(values)
-    span = hi - lo
-    return "".join(
-        BLOCKS[int((value - lo) / span * (len(BLOCKS) - 1))] for value in values
-    )
 
 
 # -- snapshot ---------------------------------------------------------------------

@@ -38,10 +38,6 @@ _AMBIENT = object()
 #: repo while keeping week-long simulations from growing without limit.
 DEFAULT_RETENTION = 8192
 
-#: Label value that absorbs everything past a label's cardinality cap.
-OVERFLOW_LABEL = "~other"
-
-
 @dataclass(frozen=True)
 class TelemetryEvent:
     """One timestamped lifecycle event (install, expiry, timeout, ...)."""
@@ -73,20 +69,9 @@ class MetricsRegistry(Recorder):
         max_events: int = DEFAULT_RETENTION,
         default_buckets: Iterable[float] = DEFAULT_BUCKETS,
         flight: FlightRecorderHub | None = None,
-        label_limits: Mapping[str, int] | None = None,
     ):
         self.name = name
         self.clock = clock or SystemClock()
-        #: Per-label-name cardinality caps, e.g. ``{"node": 256}``: the
-        #: first N distinct values of a capped label get their own
-        #: instruments, everything after lands on one aggregate
-        #: ``~other`` series.  At fleet scale (100k nodes) per-node
-        #: labels would otherwise mint 100k instruments per metric; the
-        #: cap keeps the registry O(limit) while totals stay exact
-        #: (:meth:`counter_total` sums the aggregate too).  ``None``
-        #: caps nothing.
-        self._label_limits = dict(label_limits) if label_limits else None
-        self._label_seen: dict[str, set[str]] = {}
         #: Interned label keys: one shared tuple per distinct label set,
         #: however many metric names use it — each (name, labels) pair
         #: otherwise re-allocates the sorted tuple per instrument.
@@ -96,9 +81,8 @@ class MetricsRegistry(Recorder):
         #: node it names.  ``platform.enable_telemetry()`` attaches one.
         self.flight = flight
         #: Optional health plane (:mod:`repro.telemetry.health`): when
-        #: attached, every count/observe/gauge is forwarded — after
-        #: label capping/interning — so rollups and SLOs see the capped
-        #: stream.  ``None`` costs one attribute check per sample.
+        #: attached, every count/observe/gauge is forwarded with its
+        #: interned label key.  ``None`` costs one attribute check per sample.
         self.health = None
         self._counters: dict[tuple[str, LabelKey], Counter] = {}
         self._gauges: dict[tuple[str, LabelKey], Gauge] = {}
@@ -117,36 +101,8 @@ class MetricsRegistry(Recorder):
 
     # -- label canonicalization --------------------------------------------------
 
-    def _labels_key(self, labels: Mapping[str, Any], record: bool = True) -> LabelKey:
-        """The (possibly capped, always interned) key for ``labels``.
-
-        ``record=False`` is the read-side variant: a never-seen value of
-        a capped label maps to the aggregate without consuming a slot,
-        so queries cannot exhaust the cap.
-        """
-        if self._label_limits and labels:
-            capped: dict[str, Any] | None = None
-            for label_name, limit in self._label_limits.items():
-                if label_name not in labels:
-                    continue
-                value = str(labels[label_name])
-                if value == OVERFLOW_LABEL:
-                    continue
-                seen = self._label_seen.setdefault(label_name, set())
-                if value in seen:
-                    continue
-                if len(seen) < limit:
-                    if record:
-                        seen.add(value)
-                        continue
-                    # A read for a value never written: it has no
-                    # instrument either way; the raw key misses cleanly.
-                    continue
-                if capped is None:
-                    capped = dict(labels)
-                capped[label_name] = OVERFLOW_LABEL
-            if capped is not None:
-                labels = capped
+    def _labels_key(self, labels: Mapping[str, Any]) -> LabelKey:
+        """The interned key for ``labels``."""
         key = label_key(labels)
         shared = self._interned_keys.get(key)
         if shared is None:
@@ -251,12 +207,8 @@ class MetricsRegistry(Recorder):
         return counter
 
     def counter_value(self, name: str, **labels: Any) -> float:
-        """Current value of a counter (0.0 if never incremented).
-
-        With a capped label, values past the cap read the aggregate
-        ``~other`` series (their individual identity was never stored).
-        """
-        existing = self._counters.get((name, self._labels_key(labels, record=False)))
+        """Current value of a counter (0.0 if never incremented)."""
+        existing = self._counters.get((name, self._labels_key(labels)))
         return existing.value if existing is not None else 0.0
 
     def counter_total(self, name: str) -> float:
@@ -269,12 +221,12 @@ class MetricsRegistry(Recorder):
 
     def gauge_value(self, name: str, **labels: Any) -> float | None:
         """Current value of a gauge, or None if never set."""
-        existing = self._gauges.get((name, self._labels_key(labels, record=False)))
+        existing = self._gauges.get((name, self._labels_key(labels)))
         return existing.value if existing is not None else None
 
     def histogram(self, name: str, **labels: Any) -> Histogram | None:
         """The histogram for ``name``/``labels``, if any observations exist."""
-        return self._histograms.get((name, self._labels_key(labels, record=False)))
+        return self._histograms.get((name, self._labels_key(labels)))
 
     def histograms_named(self, name: str) -> list[Histogram]:
         """All histograms sharing ``name`` across label sets."""

@@ -75,6 +75,10 @@ class TestMethodHookTable:
 
 
 class TestCodegenStubs:
+    """Signatures the dispatcher must copy exactly: defaults, variadics,
+    keyword-only parameters, names that look like internals, decorated
+    methods and a receiver inside ``*args``."""
+
     def test_defaults_preserved(self, vm):
         class WithDefaults:
             def greet(self, name="world", punctuation="!"):

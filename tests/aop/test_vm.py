@@ -79,7 +79,7 @@ class TestClassLoading:
 
         cls = fresh_class(Turbine)
         vm.load_class(cls, include_inherited=True)
-        assert "throttle" in vars(cls)  # class-local stub over Engine's
+        assert "throttle" in vars(cls)  # class-local copy of Engine's
         trace = TraceAspect(type_pattern="Turbine", method_pattern="throttle")
         vm.insert(trace)
         turbine = cls()
@@ -239,9 +239,10 @@ class TestInsertWithdraw:
 
 
 class TestCapturedReferences:
-    """Methods are hooked at load because callers capture them: a bound
-    method or ``Cls.method`` taken before an insert must see its advice
-    (the robot task layer connects ``self._hardware_event`` this way)."""
+    """Methods are copied at load because callers capture them: a bound
+    method or ``Cls.method`` taken before an insert shares the copy, so it
+    sees its advice (the robot task layer connects
+    ``self._hardware_event`` this way)."""
 
     def test_load_hooks_every_method(self, vm):
         cls = fresh_class()

@@ -3,13 +3,15 @@
 Random scripts mix method calls (through attribute lookup, and through a
 bound method and a ``Cls.method`` captured right after ``load_class``),
 field writes, and inserts and withdrawals of method and field recorders.
-Three things must hold:
+Four things must hold:
 
 - the woven class computes exactly what a pristine copy computes;
 - every recorder sees exactly the calls and writes a model predicts,
   the writes taken from a pristine copy with a logging ``__setattr__``;
 - the class carries its own ``__setattr__`` exactly while a field advice
-  is active, and unloading leaves it pristine.
+  is active, and unloading leaves it pristine;
+- a method runs its own code exactly while no method advice applies to
+  it, and unloading leaves the original functions' code untouched.
 
 Examples are derandomized (fixed seeds), so runs are reproducible.
 """
@@ -101,6 +103,7 @@ class TestWeavingOracle:
         vm = ProseVM()
         cls = make_app_class()
         originals = dict(vars(cls))
+        own_code = {name: originals[name].__code__ for name in METHODS}
         vm.load_class(cls)
         app = cls()
         bound = {name: getattr(app, name) for name in METHODS}
@@ -142,8 +145,14 @@ class TestWeavingOracle:
             assert (app.x, app.y) == (oracle.x, oracle.y)
             has_field_advice = any(kind == "field" for kind, _, _ in active.values())
             assert ("__setattr__" in vars(cls)) == has_field_advice
+            advised = {watched for kind, watched, _ in active.values() if kind == "method"}
+            for name in METHODS:
+                assert (vars(cls)[name].__code__ is own_code[name]) == (name not in advised)
 
         for aspect, expected in recorders:
             assert aspect.seen == expected
         vm.unload_class(cls)
         assert dict(vars(cls)) == originals
+        for name in METHODS:
+            assert originals[name].__code__ is own_code[name]
+            assert bound[name].__func__.__code__ is own_code[name]

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.export import json_summary, prom_text, text_summary
-from repro.telemetry.registry import OVERFLOW_LABEL
 
 
 class TestPromText:
@@ -36,21 +35,6 @@ class TestPromText:
         assert 'rpc_latency_bucket{le="+Inf"} 4' in lines
         assert any(line.startswith("rpc_latency_sum ") for line in lines)
         assert "rpc_latency_count 4" in lines
-
-    def test_capped_labels_stay_bounded_under_other(self):
-        registry = MetricsRegistry(label_limits={"node": 2})
-        for i in range(10):
-            registry.count("fleet.renewed", node=f"n{i}")
-        text = prom_text(registry.to_records())
-        # 2 per-node series plus exactly ONE aggregate — the exposition
-        # cannot balloon however many label values the fleet mints.
-        series = [
-            line
-            for line in text.splitlines()
-            if line.startswith("fleet_renewed_total{")
-        ]
-        assert len(series) == 3
-        assert f'fleet_renewed_total{{node="{OVERFLOW_LABEL}"}} 8.0' in text
 
     def test_events_and_spans_are_skipped(self):
         registry = MetricsRegistry()

@@ -1,16 +1,12 @@
-"""Streaming rollups: pattern routing, the three kinds, and the
-cardinality-cap interaction (capped label values must aggregate into the
-single ``~other`` series, never fork one series per capped value)."""
+"""Streaming rollups: pattern routing and the three kinds."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.telemetry import MetricsRegistry, runtime
-from repro.telemetry.health import HealthPlane, RollupRule
+from repro.telemetry.health import RollupRule
 from repro.telemetry.health.rollups import RollupBook, series_label
 from repro.telemetry.metrics import label_key
-from repro.telemetry.registry import OVERFLOW_LABEL
 
 
 class TestRollupRule:
@@ -112,48 +108,3 @@ class TestRollupBook:
         book.on_count(1.0, "m", label_key({"node": "n1"}), 1.0)
         (series,) = book.series()
         assert series_label(series) == "m{node=n1}"
-
-
-class TestCardinalityCapInteraction:
-    """Satellite: a label-capped registry must not fork rollup series.
-
-    The registry caps/interns label keys *before* forwarding to the
-    plane, so every sample past the cap lands on the one ``~other``
-    series — the rollup stays bounded however many distinct values the
-    fleet produces.
-    """
-
-    def test_overflow_values_share_one_series(self, sim):
-        registry = MetricsRegistry(clock=sim.clock, label_limits={"node": 3})
-        runtime.install(registry)
-        plane = HealthPlane(
-            rules=[RollupRule("renew-rate", "fleet.*", "rate", window=100.0)]
-        ).attach(registry)
-
-        for i in range(50):
-            registry.count("fleet.renewed", node=f"n{i}")
-
-        series = plane.book.series("renew-rate")
-        # 3 distinct per-node series plus exactly one ~other aggregate.
-        assert len(series) == 4
-        by_labels = {dict(s.labels).get("node"): s for s in series}
-        assert OVERFLOW_LABEL in by_labels
-        overflow = by_labels[OVERFLOW_LABEL]
-        # 47 capped samples all folded into the aggregate window.
-        assert overflow.window.samples(sim.clock.now()) == pytest.approx(47.0)
-        assert plane.book.value(
-            "renew-rate", "fleet.renewed", sim.clock.now(), node=OVERFLOW_LABEL
-        ) == pytest.approx(0.47)
-
-    def test_capped_stream_matches_registry_totals(self, sim):
-        registry = MetricsRegistry(clock=sim.clock, label_limits={"node": 2})
-        runtime.install(registry)
-        plane = HealthPlane(
-            rules=[RollupRule("rate", "fleet.renewed", "rate", window=100.0)]
-        ).attach(registry)
-        for i in range(20):
-            registry.count("fleet.renewed", node=f"n{i % 5}")
-        windowed = sum(
-            s.window.samples(sim.clock.now()) for s in plane.book.series("rate")
-        )
-        assert windowed == registry.counter_total("fleet.renewed") == 20.0

@@ -17,7 +17,6 @@ from repro.telemetry.health.tower import (
     main,
     ops_storm_spec,
     render_tower,
-    sparkline,
     tower_snapshot,
 )
 
@@ -45,18 +44,6 @@ def _plane(burning: bool) -> HealthPlane:
         plane.ingest_count(float(t), metric, 1.0, node="n1")
     plane.tick()
     return plane
-
-
-class TestSparkline:
-    def test_scales_to_the_block_ramp(self):
-        line = sparkline([0.0, 1.0, 2.0, 3.0])
-        assert len(line) == 4
-        assert line[0] == "▁" and line[-1] == "█"
-
-    def test_flat_and_empty_series(self):
-        assert sparkline([]) == ""
-        flat = sparkline([5.0, 5.0, 5.0])
-        assert len(set(flat)) == 1
 
 
 class TestTowerSnapshot:

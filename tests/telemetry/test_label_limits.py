@@ -1,52 +1,12 @@
-"""Label cardinality caps and interning (the 100k-node regression).
+"""Label keys: one series per distinct label set, one interned key
+object per label set."""
 
-Per-node metric labels must not mint one instrument per node: with
-``label_limits`` the first N distinct values keep their own series and
-the long tail aggregates under ``~other``, so the registry stays
-O(limit) however many nodes report.
-"""
-
-from repro.telemetry.registry import OVERFLOW_LABEL, MetricsRegistry
+from repro.telemetry.registry import MetricsRegistry
 
 
 class TestLabelCardinalityCap:
-    def test_overflow_values_collapse_to_one_series(self):
-        registry = MetricsRegistry(label_limits={"node": 10})
-        for i in range(1000):
-            registry.count("fleet.renewed", node=f"leaf-{i:05d}")
-        # 10 dedicated series + 1 aggregate, not 1000.
-        assert len(registry._counters) == 11
-        assert registry.counter_value("fleet.renewed", node=OVERFLOW_LABEL) == 990
-        assert registry.counter_total("fleet.renewed") == 1000
-
-    def test_first_values_keep_their_own_series(self):
-        registry = MetricsRegistry(label_limits={"node": 2})
-        registry.count("m", node="a")
-        registry.count("m", node="b")
-        registry.count("m", node="c")
-        registry.count("m", node="a")
-        assert registry.counter_value("m", node="a") == 2
-        assert registry.counter_value("m", node="b") == 1
-        # "c" arrived past the cap: it reads through to the aggregate.
-        assert registry.counter_value("m", node="c") == 1
-        assert registry.counter_value("m", node=OVERFLOW_LABEL) == 1
-
-    def test_cap_applies_across_metric_names(self):
-        # The cap is per label name, not per (metric, label): one fleet
-        # of nodes overflowing installs must not re-mint series under
-        # renewals.
-        registry = MetricsRegistry(label_limits={"node": 5})
-        for i in range(50):
-            registry.count("m.install", node=f"n{i}")
-            registry.count("m.renew", node=f"n{i}")
-        assert len(registry._counters) == 12  # (5 + ~other) × 2 names
-        assert registry.counter_total("m.renew") == 50
-
-    def test_uncapped_labels_unaffected(self):
-        registry = MetricsRegistry(label_limits={"node": 3})
-        for i in range(20):
-            registry.count("m", table=f"t{i}")
-        assert len(registry._counters) == 20
+    """Label values are never capped: each distinct value keeps its own
+    series."""
 
     def test_no_limits_is_byte_identical_behavior(self):
         registry = MetricsRegistry()
@@ -54,28 +14,6 @@ class TestLabelCardinalityCap:
             registry.count("m", node=f"n{i}")
         assert len(registry._counters) == 100
         assert registry.counter_value("m", node="n42") == 1
-
-    def test_reads_do_not_consume_cap_slots(self):
-        registry = MetricsRegistry(label_limits={"node": 2})
-        assert registry.counter_value("m", node="probe-a") == 0.0
-        assert registry.counter_value("m", node="probe-b") == 0.0
-        registry.count("m", node="real-1")
-        registry.count("m", node="real-2")
-        # Both real nodes got dedicated series despite the earlier probes.
-        assert registry.counter_value("m", node="real-1") == 1
-        assert registry.counter_value("m", node="real-2") == 1
-        assert registry.counter_value("m", node=OVERFLOW_LABEL) == 0.0
-
-    def test_gauges_and_histograms_capped_too(self):
-        registry = MetricsRegistry(label_limits={"node": 2})
-        for i in range(10):
-            registry.gauge("depth", float(i), node=f"n{i}")
-            registry.observe("latency", 0.01, node=f"n{i}")
-        assert len(registry._gauges) == 3
-        assert len(registry._histograms) == 3
-        assert registry.gauge_value("depth", node=OVERFLOW_LABEL) == 9.0
-        overflow = registry.histogram("latency", node=OVERFLOW_LABEL)
-        assert overflow is not None and overflow.count == 8
 
 
 class TestLabelInterning:
