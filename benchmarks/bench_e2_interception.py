@@ -16,11 +16,13 @@ The absolute nanoseconds are 2003-era Java; the *shape* to reproduce:
 measured added-cost-to-base-call ratio next to the paper's.
 """
 
-import time
-
 import pytest
 
+from conftest import per_call_seconds
 from repro.aop import Aspect, MethodCut, ProseVM, before
+
+#: Calls per timed block.
+CALLS = 200_000
 
 
 class Target:
@@ -36,14 +38,6 @@ class DoNothing(Aspect):
     @before(MethodCut(type="Target", method="noop"))
     def advice(self, ctx):
         pass
-
-
-def _per_call_seconds(fn, calls: int = 200_000) -> float:
-    fn()  # warm
-    start = time.perf_counter()
-    for _ in range(calls):
-        fn()
-    return (time.perf_counter() - start) / calls
 
 
 @pytest.mark.benchmark(group="e2-per-call")
@@ -64,14 +58,14 @@ def test_e2_hook_fast_path(benchmark, vm):
 @pytest.mark.benchmark(group="e2-per-call")
 def test_e2_do_nothing_interception(benchmark, vm):
     """A do-nothing before-advice: the full interception path."""
-    plain = _per_call_seconds(Target().noop)
+    plain = per_call_seconds(Target().noop, CALLS)
 
     vm.load_class(Target)
     vm.insert(DoNothing())
     target = Target()
     benchmark(target.noop)
 
-    intercepted = _per_call_seconds(target.noop)
+    intercepted = per_call_seconds(target.noop, CALLS)
     added = intercepted - plain
     benchmark.extra_info["plain_ns"] = round(plain * 1e9, 1)
     benchmark.extra_info["intercepted_ns"] = round(intercepted * 1e9, 1)

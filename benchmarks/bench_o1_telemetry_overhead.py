@@ -17,12 +17,14 @@ attached to the no-op benchmark.  Run standalone::
 benchmarked callable once.)
 """
 
-import time
-
 import pytest
 
+from conftest import per_call_seconds
 from repro.aop import Aspect, MethodCut, ProseVM, before
 from repro.telemetry import MetricsRegistry, runtime
+
+#: Calls per timed block.
+CALLS = 200_000
 
 
 class Target:
@@ -34,14 +36,6 @@ class DoNothing(Aspect):
     @before(MethodCut(type="Target", method="noop"))
     def advice(self, ctx):
         pass
-
-
-def _per_call_seconds(fn, calls: int = 200_000) -> float:
-    fn()  # warm
-    start = time.perf_counter()
-    for _ in range(calls):
-        fn()
-    return (time.perf_counter() - start) / calls
 
 
 @pytest.fixture
@@ -67,7 +61,7 @@ def test_o1_interception_no_recorder(benchmark, woven_target):
     subsystem existed (approximated by measuring with the telemetry
     branch short-circuited — i.e. this same path — against a plain
     advised call measured inline)."""
-    noop_per_call = _per_call_seconds(woven_target.noop)
+    noop_per_call = per_call_seconds(woven_target.noop, CALLS)
     benchmark.extra_info["noop_recorder_per_call_us"] = round(
         noop_per_call * 1e6, 4
     )
@@ -77,10 +71,10 @@ def test_o1_interception_no_recorder(benchmark, woven_target):
 @pytest.mark.benchmark(group="o1-telemetry")
 def test_o1_interception_recording(benchmark, woven_target):
     """Instrumented dispatch with a live registry (telemetry on)."""
-    disabled = _per_call_seconds(woven_target.noop)
+    disabled = per_call_seconds(woven_target.noop, CALLS)
     registry = MetricsRegistry()
     with runtime.recording(registry):
-        recording = _per_call_seconds(woven_target.noop)
+        recording = per_call_seconds(woven_target.noop, CALLS)
         benchmark(woven_target.noop)
     assert registry.counter_total("prose.interceptions") > 0
     benchmark.extra_info["disabled_per_call_us"] = round(disabled * 1e6, 4)

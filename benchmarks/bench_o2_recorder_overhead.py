@@ -13,17 +13,17 @@ already passed through an *installed* registry.  Therefore:
   most the registry's own event-routing slack.  Gate: ≤10% over the
   same workload on a registry *without* a hub.
 
-Both gates compare min-of-trials measurements taken back-to-back in one
-process, plus a small absolute epsilon, so scheduler noise on a loaded
-CI box does not produce false failures.  Run standalone::
+Both gates compare min-of-trials measurements with the two sides
+interleaved trial by trial in one process, plus a small absolute
+epsilon, so scheduler noise and drift on a loaded CI box do not produce
+false failures.  Run standalone::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_o2_recorder_overhead.py
 """
 
-import time
-
 import pytest
 
+from conftest import interleaved_min, per_call_seconds
 from repro.aop import Aspect, MethodCut, ProseVM, before
 from repro.telemetry import FlightRecorderHub, MetricsRegistry, runtime
 
@@ -48,17 +48,33 @@ class DoNothing(Aspect):
         pass
 
 
-def _per_call_seconds(fn, calls: int = CALLS) -> float:
-    fn()  # warm
-    start = time.perf_counter()
-    for _ in range(calls):
-        fn()
-    return (time.perf_counter() - start) / calls
+def _per_call(fn):
+    """One trial of ``fn``'s per-call cost."""
+    return lambda: per_call_seconds(fn, CALLS)
 
 
-def _best_per_call(fn, trials: int = TRIALS) -> float:
-    """Min over several trials — the least-noisy estimate of true cost."""
-    return min(_per_call_seconds(fn) for _ in range(trials))
+def _idle_hub_per_call(fn):
+    """One trial of ``fn``'s per-call cost while a hub exists, attached
+    to a registry that is never installed."""
+
+    def measure() -> float:
+        registry = MetricsRegistry(flight=FlightRecorderHub())
+        cost = per_call_seconds(fn, CALLS)
+        # Referenced past the timing, so the hub lives through all of it.
+        assert registry.flight is not None
+        return cost
+
+    return measure
+
+
+def _recording_per_call(registry: MetricsRegistry, fn):
+    """One trial of ``fn``'s per-call cost while ``registry`` records."""
+
+    def measure() -> float:
+        with runtime.recording(registry):
+            return per_call_seconds(fn, CALLS)
+
+    return measure
 
 
 @pytest.fixture
@@ -78,12 +94,13 @@ def no_leftover_recorder():
 @pytest.mark.benchmark(group="o2-recorder")
 def test_o2_disabled_hub_is_free(benchmark, woven_target):
     """A constructed-but-unreachable hub must not tax disabled dispatch."""
-    baseline = _best_per_call(woven_target.noop)
-    # The hub exists and is attached to a registry, but the registry is
-    # not installed — the dispatch closure still takes the no-op branch.
-    registry = MetricsRegistry(flight=FlightRecorderHub())
-    assert registry.flight is not None
-    with_hub = _best_per_call(woven_target.noop)
+    # The baseline runs with no hub alive (each trial's hub is freed when
+    # its measure returns).  The other side builds a hub attached to a
+    # registry that is not installed, so the dispatch closure should
+    # still take the no-op branch.
+    baseline, with_hub = interleaved_min(
+        TRIALS, _per_call(woven_target.noop), _idle_hub_per_call(woven_target.noop)
+    )
 
     benchmark.extra_info["baseline_per_call_us"] = round(baseline * 1e6, 4)
     benchmark.extra_info["with_idle_hub_per_call_us"] = round(with_hub * 1e6, 4)
@@ -100,12 +117,13 @@ def test_o2_disabled_hub_is_free(benchmark, woven_target):
 def test_o2_enabled_hub_within_budget(benchmark, woven_target):
     """Recording with a hub attached stays within 10% of recording without."""
     plain_registry = MetricsRegistry()
-    with runtime.recording(plain_registry):
-        without_hub = _best_per_call(woven_target.noop)
-
     hub_registry = MetricsRegistry(flight=FlightRecorderHub())
+    without_hub, with_hub = interleaved_min(
+        TRIALS,
+        _recording_per_call(plain_registry, woven_target.noop),
+        _recording_per_call(hub_registry, woven_target.noop),
+    )
     with runtime.recording(hub_registry):
-        with_hub = _best_per_call(woven_target.noop)
         benchmark(woven_target.noop)
     assert hub_registry.counter_total("prose.interceptions") > 0
 
@@ -125,9 +143,12 @@ def test_o2_event_routing_cost(benchmark):
     Reported (not gated): the per-event cost of the ring append on top of
     the registry's own event bookkeeping."""
     plain = MetricsRegistry()
-    cost_plain = _best_per_call(lambda: plain.event("lease.renewed", node="n"))
     hub_registry = MetricsRegistry(flight=FlightRecorderHub())
-    cost_hub = _best_per_call(lambda: hub_registry.event("lease.renewed", node="n"))
+    cost_plain, cost_hub = interleaved_min(
+        TRIALS,
+        _per_call(lambda: plain.event("lease.renewed", node="n")),
+        _per_call(lambda: hub_registry.event("lease.renewed", node="n")),
+    )
     benchmark.extra_info["event_plain_per_call_us"] = round(cost_plain * 1e6, 4)
     benchmark.extra_info["event_with_hub_per_call_us"] = round(cost_hub * 1e6, 4)
     benchmark.extra_info["event_routing_ratio"] = round(cost_hub / cost_plain, 3)

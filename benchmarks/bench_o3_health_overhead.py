@@ -15,9 +15,10 @@ subscriber*, so:
   what the gate protects is the workload, where simulation machinery
   dominates and the plane's O(windows) updates amortize out.
 
-Both gates compare min-of-trials measurements taken back-to-back in one
-process, plus a small absolute epsilon, so scheduler noise on a loaded
-CI box does not produce false failures.  Run standalone::
+Both gates compare min-of-trials measurements with the two sides
+interleaved trial by trial in one process, plus a small absolute
+epsilon, so scheduler noise and drift on a loaded CI box do not produce
+false failures.  Run standalone::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_o3_health_overhead.py
 """
@@ -26,6 +27,7 @@ import time
 
 import pytest
 
+from conftest import interleaved_min, per_call_seconds
 from repro.scenarios.harness import run_storm
 from repro.scenarios.spec import roaming_storm
 from repro.telemetry import MetricsRegistry
@@ -50,17 +52,9 @@ CALLS = 50_000
 STORM_TRIALS = 3
 
 
-def _per_call_seconds(fn, calls: int = CALLS) -> float:
-    fn()  # warm
-    start = time.perf_counter()
-    for _ in range(calls):
-        fn()
-    return (time.perf_counter() - start) / calls
-
-
-def _best_per_call(fn, trials: int = TRIALS) -> float:
-    """Min over several trials — the least-noisy estimate of true cost."""
-    return min(_per_call_seconds(fn) for _ in range(trials))
+def _per_call(fn):
+    """One trial of ``fn``'s per-call cost."""
+    return lambda: per_call_seconds(fn, CALLS)
 
 
 def _matching_plane() -> HealthPlane:
@@ -91,14 +85,9 @@ def test_o3_disabled_plane_is_free(benchmark):
 
     plane = _matching_plane()  # exists, but registry.health stays None
     assert registry.health is None
-    # Interleave the trials: a CPU-contended box (CI) drifts between
-    # back-to-back blocks, and 2% of ~2µs is well under that drift.
-    baseline_trials, with_plane_trials = [], []
-    for _ in range(TRIALS):
-        baseline_trials.append(_per_call_seconds(count))
-        with_plane_trials.append(_per_call_seconds(count))
-    baseline = min(baseline_trials)
-    with_plane = min(with_plane_trials)
+    # Interleaved: a CPU-contended box (CI) drifts between back-to-back
+    # blocks, and 2% of ~2µs is well under that drift.
+    baseline, with_plane = interleaved_min(TRIALS, _per_call(count), _per_call(count))
 
     benchmark.extra_info["baseline_per_call_us"] = round(baseline * 1e6, 4)
     benchmark.extra_info["with_idle_plane_per_call_us"] = round(
@@ -130,12 +119,9 @@ def test_o3_enabled_storm_within_budget(benchmark, bench_trajectory):
 
     # Interleaved min-of-trials: alternating runs see the same machine
     # conditions, so drift on a loaded box cancels instead of biasing.
-    without_trials, with_trials = [], []
-    for _ in range(STORM_TRIALS):
-        without_trials.append(run(False))
-        with_trials.append(run(True))
-    without_plane = min(without_trials)
-    with_plane = min(with_trials)
+    without_plane, with_plane = interleaved_min(
+        STORM_TRIALS, lambda: run(False), lambda: run(True)
+    )
 
     benchmark.extra_info["storm_without_plane_s"] = round(without_plane, 4)
     benchmark.extra_info["storm_with_plane_s"] = round(with_plane, 4)
@@ -170,13 +156,12 @@ def test_o3_matching_sample_cost(benchmark):
     accumulators plus one rollup — O(windows), independent of history.
     """
     plain = MetricsRegistry()
-    cost_plain = _best_per_call(
-        lambda: plain.count("midas.renewals", node="n1")
-    )
     registry = MetricsRegistry()
     _matching_plane().attach(registry)
-    cost_matching = _best_per_call(
-        lambda: registry.count("midas.renewals", node="n1")
+    cost_plain, cost_matching = interleaved_min(
+        TRIALS,
+        _per_call(lambda: plain.count("midas.renewals", node="n1")),
+        _per_call(lambda: registry.count("midas.renewals", node="n1")),
     )
     benchmark.extra_info["count_plain_per_call_us"] = round(cost_plain * 1e6, 4)
     benchmark.extra_info["count_matching_per_call_us"] = round(

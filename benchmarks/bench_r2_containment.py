@@ -11,18 +11,21 @@ the quarantine short-circuit cost (a quarantined advice is skipped, so
 it should be *cheaper* than running the advice).
 """
 
-import time
-
 import pytest
 
+from conftest import interleaved_min, per_call_seconds
 from repro.aop import Aspect, MethodCut, ProseVM, before
 from repro.sim.kernel import Simulator
 from repro.supervision import ExtensionSupervisor, SupervisionPolicy
 
 from tests.support import fresh_class
 
-#: The ISSUE's acceptance bar: containment adds <10% to interception.
+#: The acceptance bar: containment adds <10% to interception.
 OVERHEAD_BUDGET = 0.10
+
+#: Calls per timed block, and trials of each reported cost.
+CALLS = 50_000
+TRIALS = 5
 
 
 class Target:
@@ -38,19 +41,6 @@ class DoNothing(Aspect):
         pass
 
 
-def _per_call_seconds(fn, calls: int = 50_000) -> float:
-    fn()  # warm
-    start = time.perf_counter()
-    for _ in range(calls):
-        fn()
-    return (time.perf_counter() - start) / calls
-
-
-def _best_of(fn, trials: int = 5) -> float:
-    """Best-of-N per-call cost: robust against scheduler noise."""
-    return min(_per_call_seconds(fn) for _ in range(trials))
-
-
 def _paired_overhead(base_fn, supervised_fn, rounds: int = 9) -> float:
     """Median of interleaved base/supervised ratios.
 
@@ -59,7 +49,7 @@ def _paired_overhead(base_fn, supervised_fn, rounds: int = 9) -> float:
     and taking the median ratio isolates the wrapper's true cost.
     """
     ratios = sorted(
-        _per_call_seconds(supervised_fn) / _per_call_seconds(base_fn)
+        per_call_seconds(supervised_fn, CALLS) / per_call_seconds(base_fn, CALLS)
         for _ in range(rounds)
     )
     return ratios[rounds // 2] - 1.0
@@ -97,14 +87,19 @@ def test_r2_containment_overhead_under_budget(benchmark):
     supervisor = ExtensionSupervisor(Simulator(), SupervisionPolicy())
     supervised_target, aspect = _woven_target(supervisor)
 
-    baseline = _best_of(baseline_target.noop)
-    supervised = _best_of(supervised_target.noop)
+    baseline, supervised = interleaved_min(
+        TRIALS,
+        lambda: per_call_seconds(baseline_target.noop, CALLS),
+        lambda: per_call_seconds(supervised_target.noop, CALLS),
+    )
     overhead = _paired_overhead(baseline_target.noop, supervised_target.noop)
 
     # Quarantine short-circuit: once struck out, the advice is skipped
     # entirely — the remaining cost is dispatch plus the guard's check.
     supervisor.health_of(aspect).quarantined = True
-    quarantined = _best_of(supervised_target.noop)
+    (quarantined,) = interleaved_min(
+        TRIALS, lambda: per_call_seconds(supervised_target.noop, CALLS)
+    )
 
     benchmark.extra_info["baseline_ns"] = round(baseline * 1e9, 1)
     benchmark.extra_info["supervised_ns"] = round(supervised * 1e9, 1)

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -46,6 +48,31 @@ def append_bench_row(name: str, row: dict) -> Path:
         json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return path
+
+
+def per_call_seconds(fn: Callable[[], object], calls: int) -> float:
+    """Mean wall seconds per call of ``fn`` over ``calls`` calls, after
+    one warm-up call."""
+    fn()
+    start = time.perf_counter()
+    for _ in range(calls):
+        fn()
+    return (time.perf_counter() - start) / calls
+
+
+def interleaved_min(trials: int, *measures: Callable[[], float]) -> list[float]:
+    """The least of ``trials`` readings of each measure, taken in turn.
+
+    Each trial reads every measure once, back to back, so drift on a
+    CPU-contended box (CI) reaches all sides alike instead of biasing
+    whichever side runs in the later block; the minimum is the
+    least-noisy estimate of each side's true cost.
+    """
+    readings: list[list[float]] = [[] for _ in measures]
+    for _ in range(trials):
+        for reading, measure in zip(readings, measures):
+            reading.append(measure())
+    return [min(reading) for reading in readings]
 
 
 @pytest.fixture

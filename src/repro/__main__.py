@@ -5,12 +5,10 @@ Usage::
     python -m repro                 # list scenarios
     python -m repro quickstart      # run one
     python -m repro --all           # run every scenario
-    python -m repro telemetry       # traced MIDAS lifecycle demo
-    python -m repro inspect         # node health: extensions, leases, breakers
+    python -m repro obs [SOURCE]    # one run: summary, inspect, tower, profile
     python -m repro vet <target>    # statically vet extension modules
     python -m repro lint [paths]    # platform lints: determinism, protocol
     python -m repro loadgen         # closed-loop load runs + M/M/n checks
-    python -m repro ops             # control tower: SLO burn + health statuses
 """
 
 from __future__ import annotations
@@ -22,12 +20,10 @@ import sys
 #: subcommand -> the module whose ``main(argv)`` runs it, imported only
 #: when its command runs.
 COMMANDS = {
-    "telemetry": "repro.telemetry.cli",
-    "inspect": "repro.telemetry.inspect",
+    "obs": "repro.telemetry.obs",
     "vet": "repro.vetting.cli",
     "lint": "repro.analysis.cli",
     "loadgen": "repro.loadgen.cli",
-    "ops": "repro.telemetry.health.tower",
 }
 
 #: scenario name -> (module under examples/, description)

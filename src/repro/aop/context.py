@@ -11,7 +11,7 @@ calls :meth:`ExecutionContext.proceed`, an ``after`` advice may replace
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from repro.aop.joinpoint import JoinPoint
 
@@ -143,13 +143,3 @@ class FieldWriteContext:
 
 AdviceCallable = Callable[[ExecutionContext], Any]
 FieldAdviceCallable = Callable[[FieldWriteContext], Any]
-
-
-def snapshot_call(ctx: ExecutionContext) -> Mapping[str, Any]:
-    """A serializable summary of a call context (used by logging advice)."""
-    return {
-        "class": ctx.joinpoint.class_name,
-        "method": ctx.method_name,
-        "args": ctx.args,
-        "kwargs": dict(ctx.kwargs),
-    }

@@ -163,10 +163,6 @@ class ProseVM:
         """Classes currently instrumented by this VM."""
         return tuple(self._loaded)
 
-    def is_loaded(self, cls: type) -> bool:
-        """True if ``cls`` is instrumented by this VM."""
-        return cls in self._loaded
-
     def load_class(self, cls: type, include_inherited: bool = False) -> type:
         """Instrument ``cls`` in place: a copy of each method, with a hook
         table.

@@ -17,7 +17,7 @@ Everything runs on one shared :class:`~repro.sim.kernel.Simulator`; call
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.aop.aspect import Aspect
 from repro.aop.sandbox import Capability, SandboxPolicy
@@ -340,10 +340,6 @@ class ProactivePlatform:
         """Advance the world by ``seconds`` of virtual time."""
         return self.simulator.run_for(seconds)
 
-    def run_until_idle(self, max_steps: int = 100_000) -> int:
-        """Drain the event queue (bounded; periodic timers never drain)."""
-        return self.simulator.run(max_steps=max_steps)
-
     # -- fault injection ---------------------------------------------------------------
 
     def install_faults(self, plan: FaultPlan) -> FaultInjector:
@@ -447,14 +443,19 @@ class ProactivePlatform:
         return registry
 
     def summary(self) -> dict:
-        """A snapshot of the world's counters, for dashboards and tests.
+        """A snapshot of the world, for dashboards, tests and ``repro obs``.
 
         Covers the radio (traffic/drops), every base station (catalog,
-        adapted nodes, database size) and every mobile node (live
-        extensions, weaving statistics, interception counts).
+        adapted nodes, database size, registrations, accept-queue
+        pipeline stats, breakers) and every mobile node (installed
+        extensions with version, origin base and lease id; lease TTLs
+        and renewal counts; breakers; quarantine detail; weaving and
+        interception counts).  Lease ids are process-global, so replay
+        comparisons must leave them out.
         """
+        now = self.now
         return {
-            "time": self.now,
+            "time": now,
             "network": {
                 "transmitted": self.network.messages_transmitted,
                 "delivered": self.network.messages_delivered,
@@ -466,33 +467,87 @@ class ProactivePlatform:
                     "adapted_nodes": station.extension_base.adapted_nodes(),
                     "db_records": len(station.db),
                     "registrations": station.lookup.registration_count(),
+                    "pipeline": (
+                        None
+                        if station.extension_base.pipeline is None
+                        else station.extension_base.pipeline.stats()
+                    ),
+                    "breakers": _breakers(station.extension_base.resilient_client),
                 }
                 for node_id, station in self.base_stations.items()
             },
             "mobile_nodes": {
                 node_id: {
                     "position": tuple(node.node.position),
-                    "extensions": node.extensions(),
+                    "extensions": [
+                        {
+                            "name": installed.name,
+                            "version": installed.envelope.version,
+                            "base": installed.base_id,
+                            "lease_id": installed.lease_id,
+                        }
+                        for installed in node.adaptation.installed()
+                    ],
                     "classes_loaded": node.vm.stats.classes_loaded,
                     "interceptions": node.vm.interception_count(),
                     "quarantined": (
                         []
                         if node.supervisor is None
                         else [
-                            health.aspect_name
+                            health.as_dict()
                             for health in node.supervisor.quarantined()
                         ]
                     ),
+                    "leases": [
+                        {
+                            "resource": str(lease.resource),
+                            "holder": lease.holder,
+                            "remaining": lease.remaining(now),
+                            "renewals": lease.renewals,
+                        }
+                        for lease in sorted(
+                            node.adaptation.leases.active(),
+                            key=lambda lease: str(lease.resource),
+                        )
+                    ],
+                    "breakers": _breakers(node.discovery.resilient_client),
                 }
                 for node_id, node in self.mobile_nodes.items()
             },
         }
+
+    def to_records(self) -> list[dict]:
+        """One ``node`` record per base and mobile node, bases first and
+        each sorted by id: its :meth:`summary` entry, as the run artifact
+        of :mod:`repro.telemetry.obs` holds it."""
+        summary = self.summary()
+        return [
+            {"type": "node", "node": node_id, "role": role, "time": self.now, **view}
+            for role, key in (("base", "base_stations"), ("mobile", "mobile_nodes"))
+            for node_id, view in sorted(summary[key].items())
+        ]
 
     def __repr__(self) -> str:
         return (
             f"<ProactivePlatform t={self.now:.2f} "
             f"bases={sorted(self.base_stations)} nodes={sorted(self.mobile_nodes)}>"
         )
+
+
+def _breakers(client: Any) -> list[dict]:
+    """The circuit breakers a resilient client has minted, by peer."""
+    if client is None:
+        return []
+    return [
+        {
+            "owner": breaker.owner,
+            "peer": peer,
+            "state": breaker.state.value,
+            "failures": breaker.failures,
+            "times_opened": breaker.times_opened,
+        }
+        for peer, breaker in sorted(client.breakers().items())
+    ]
 
 
 def capability_services(

@@ -136,6 +136,10 @@ class LoadReport:
     clients: dict[str, Any] = field(default_factory=dict)
     #: Health-plane verdict at the end of the measured phase.
     health: dict[str, Any] | None = None
+    #: The platform's node records when the run ended (its one base).
+    nodes: list[dict[str, Any]] = field(default_factory=list)
+    #: The registry the run recorded to (the harness's own, unless passed in).
+    registry: MetricsRegistry | None = None
 
     @property
     def model_gap(self) -> float | None:
@@ -217,8 +221,8 @@ def run_scenario(
 ) -> LoadReport:
     """Run one closed-loop load scenario; deterministic given its seed.
 
-    ``health`` may be a pre-built :class:`HealthPlane` (the control
-    tower passes one so it can inspect rollups and the alert log after
+    ``health`` may be a pre-built :class:`HealthPlane` (``repro obs
+    load`` passes one so it can export rollups and the alert log after
     the run); ``True`` builds the standard plane, ``False`` disables it.
     """
     scenario.validate()
@@ -388,4 +392,6 @@ def run_scenario(
             "errors": sum(client.errors for client in clients.values()),
         },
         health=health_dict,
+        nodes=platform.to_records(),
+        registry=registry,
     )

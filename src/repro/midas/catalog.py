@@ -196,10 +196,6 @@ class ExtensionCatalog:
             return True
         return entry.unhealthy.get(node_class, 0) < entry.version
 
-    def unhealthy_classes(self, name: str) -> dict[str, int]:
-        """The node classes where ``name`` is marked, with the bad version."""
-        return dict(self._require(name).unhealthy)
-
     def version_of(self, name: str) -> int:
         """Current version of ``name``."""
         return self._require(name).version

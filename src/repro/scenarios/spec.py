@@ -263,6 +263,22 @@ def soak(
     return spec.with_overrides(**overrides) if overrides else spec
 
 
+def ops_storm_spec(
+    seed: int = 7, drop_roamed: float = 0.4, nodes: int = 60, bases: int = 3
+) -> StormSpec:
+    """The seeded roaming storm ``python -m repro obs storm`` (and CI) replays.
+
+    With ``drop_roamed=0.4`` and single-shot announcements this burns
+    the roam-convergence SLO deterministically; with ``drop_roamed=0``
+    the same seed stays green end to end.
+    """
+    return roaming_storm(nodes=nodes, bases=bases, seed=seed).with_overrides(
+        drop_roamed=drop_roamed,
+        announce_attempts=1,
+        roam_sync_interval=6.0,
+    )
+
+
 #: Name -> preset factory, for CLIs and CI jobs.
 PRESETS = {
     "roaming": roaming_storm,

@@ -20,11 +20,12 @@ gives the reproduction a first-class way to observe itself:
   (``timeline.events(kind).on(node).before(other)``);
 - :mod:`~repro.telemetry.profiler` — per-(joinpoint, extension) latency
   histograms with exemplar traces, plus VM weave-cost accounting;
-- :mod:`~repro.telemetry.inspect` — live node-health reports
-  (``python -m repro inspect``);
 - :mod:`~repro.telemetry.health` — the third layer: streaming rollups,
-  SLOs with burn-rate alerting, and the health model behind
-  ``python -m repro ops`` (the control tower).
+  SLOs with burn-rate alerting, and the health model;
+- :mod:`~repro.telemetry.obs` — the run artifact (every layer's records
+  plus health, node and run records) and ``python -m repro obs``, the
+  one command that renders it: summary, node inspection, the control
+  tower and the profile, live or from a saved file.
 
 Quick use::
 

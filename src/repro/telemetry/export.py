@@ -3,8 +3,8 @@
 Both exporters work on *records* — the plain-dict form produced by
 :meth:`MetricsRegistry.to_records` and round-tripped through JSONL — so
 the same summary code renders a live registry and a file loaded back
-from disk identically (that symmetry is what the CLI's
-``telemetry summary`` relies on).
+from disk identically (that symmetry is what ``python -m repro obs``
+relies on).
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ MAX_TRACES_SHOWN = 5
 DEFAULT_QUANTILES = (0.5, 0.95, 0.99)
 
 
-def _check_quantiles(quantiles: tuple[float, ...]) -> tuple[float, ...]:
+def check_quantiles(quantiles: tuple[float, ...]) -> tuple[float, ...]:
+    """``quantiles`` as a tuple; ValueError unless each is in (0, 1)."""
     quantiles = tuple(quantiles)
     if not quantiles:
         raise ValueError("need at least one quantile")
@@ -92,18 +93,18 @@ def _label_suffix(record: dict[str, Any]) -> str:
 
 
 def _histogram_stats(
-    record: dict[str, Any], quantiles: tuple[float, ...] = DEFAULT_QUANTILES
+    summary: dict[str, Any], quantiles: tuple[float, ...] = DEFAULT_QUANTILES
 ) -> str:
-    count = record["count"]
-    if not count:
+    """One histogram line from its :func:`json_summary` entry."""
+    if not summary["count"]:
         return "n=0"
-    mean = record["sum"] / count
-    values = _quantiles_from_buckets(record, quantiles)
     rendered = " ".join(
-        f"{quantile_label(q)}={_si(value)}" for q, value in zip(quantiles, values)
+        f"{quantile_label(q)}={_si(summary[quantile_label(q)])}" for q in quantiles
     )
-    middle = f" {rendered}" if rendered else ""
-    return f"n={count} mean={_si(mean)}{middle} max={_si(record['max'])}"
+    return (
+        f"n={summary['count']} mean={_si(summary['mean'])} {rendered} "
+        f"max={_si(summary['max'])}"
+    )
 
 
 def _quantiles_from_buckets(
@@ -159,66 +160,46 @@ def text_summary(
     title: str | None = None,
     quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
 ) -> str:
-    """A human-readable digest of counters, histograms, events and traces.
+    """A human-readable rendering of :func:`json_summary`'s digest, plus
+    the span trees of the first few traces.
 
     ``quantiles`` picks the histogram quantiles shown (bucket-resolution,
     each in the open interval (0, 1)); the default adds tail visibility
     with p99 alongside the classic p50/p95.
     """
-    quantiles = _check_quantiles(quantiles)
     records = _records_of(source)
-    meta = next((r for r in records if r["type"] == "meta"), None)
-    counters = sorted(
-        (r for r in records if r["type"] == "counter"),
-        key=lambda r: (r["name"], sorted(r.get("labels", {}).items())),
-    )
-    gauges = sorted(
-        (r for r in records if r["type"] == "gauge"),
-        key=lambda r: (r["name"], sorted(r.get("labels", {}).items())),
-    )
-    histograms = sorted(
-        (r for r in records if r["type"] == "histogram"),
-        key=lambda r: (r["name"], sorted(r.get("labels", {}).items())),
-    )
-    events = [r for r in records if r["type"] == "event"]
-    spans = [r for r in records if r["type"] == "span"]
-    flights = [r for r in records if r["type"] == "flight"]
-    malformed = sum(
-        r.get("malformed_lines", 0) for r in records if r["type"] == "read_errors"
-    )
-
+    digest = json_summary(records, quantiles=quantiles)
+    meta = digest["meta"]
     header = title or (f"telemetry summary — {meta['name']}" if meta else "telemetry summary")
     lines = [header, "=" * len(header)]
 
-    if counters:
-        lines += ["", "counters:"]
-        lines += [
-            f"  {r['name']}{_label_suffix(r)} = {r['value']:g}" for r in counters
-        ]
-    if gauges:
-        lines += ["", "gauges:"]
-        lines += [f"  {r['name']}{_label_suffix(r)} = {r['value']:g}" for r in gauges]
-    if histograms:
+    for section in ("counters", "gauges"):
+        if digest[section]:
+            lines += ["", f"{section}:"]
+            lines += [
+                f"  {m['name']}{_label_suffix(m)} = {m['value']:g}"
+                for m in digest[section]
+            ]
+    if digest["histograms"]:
         lines += ["", "histograms:"]
         lines += [
-            f"  {r['name']}{_label_suffix(r)}  {_histogram_stats(r, quantiles)}"
-            for r in histograms
+            f"  {h['name']}{_label_suffix(h)}  {_histogram_stats(h, quantiles)}"
+            for h in digest["histograms"]
         ]
-    if events:
-        lines += ["", f"events: {len(events)}"]
-        by_name: dict[str, int] = {}
-        for record in events:
-            by_name[record["name"]] = by_name.get(record["name"], 0) + 1
-        lines += [f"  {name} x{count}" for name, count in sorted(by_name.items())]
-
-    if flights:
-        nodes = sorted({r["node"] for r in flights})
+    events = digest["events"]
+    if events["total"]:
+        lines += ["", f"events: {events['total']}"]
+        lines += [f"  {name} x{count}" for name, count in events["by_name"].items()]
+    flight = digest["flight"]
+    if flight["total"]:
+        nodes = list(flight["by_node"])
         lines += [
             "",
-            f"flight recorder: {len(flights)} events on {len(nodes)} node(s) "
+            f"flight recorder: {flight['total']} events on {len(nodes)} node(s) "
             f"({', '.join(nodes)})",
         ]
 
+    spans = [r for r in records if r["type"] == "span"]
     if spans:
         traces: dict[str, list[dict[str, Any]]] = {}
         for span in spans:
@@ -231,17 +212,19 @@ def text_summary(
             lines.append(f"  trace {trace_id}:")
             lines += ["  " + line for line in _span_tree_lines(trace_spans)]
 
-    dropped_events = int(meta.get("dropped_events", 0) or 0) if meta else 0
-    dropped_spans = int(meta.get("dropped_spans", 0) or 0) if meta else 0
-    if dropped_events or dropped_spans:
+    dropped = digest["dropped"]
+    if dropped["events"] or dropped["spans"]:
         lines += [
             "",
-            f"warning: retention cap dropped {dropped_events} event(s) and "
-            f"{dropped_spans} span(s) before this export",
+            f"warning: retention cap dropped {dropped['events']} event(s) and "
+            f"{dropped['spans']} span(s) before this export",
         ]
-
-    if malformed:
-        lines += ["", f"warning: {malformed} malformed line(s) skipped while reading"]
+    if digest["malformed_lines"]:
+        lines += [
+            "",
+            f"warning: {digest['malformed_lines']} malformed line(s) skipped "
+            "while reading",
+        ]
 
     if len(lines) == 2:
         lines.append("(empty)")
@@ -253,13 +236,13 @@ def json_summary(
 ) -> dict[str, Any]:
     """A machine-readable digest of the same records :func:`text_summary` shows.
 
-    The shape is stable for scripting (``repro telemetry summary --format
+    The shape is stable for scripting (``repro obs PATH --format
     json``): every value is a plain JSON type, histogram quantiles are
     bucket-resolution like the text rendering (one ``p<q>`` key per
     requested quantile, e.g. ``p50``/``p95``/``p99``), and any malformed
     lines counted by :func:`read_jsonl` appear under ``malformed_lines``.
     """
-    quantiles = _check_quantiles(quantiles)
+    quantiles = check_quantiles(quantiles)
     records = _records_of(source)
     meta = next((r for r in records if r["type"] == "meta"), None)
 

@@ -20,10 +20,12 @@ observability layer**: it consumes the same stream a
   resilience/supervision state (open breakers, quarantines, pipeline
   shedding) into per-subsystem statuses with explicit cause chains;
 - :mod:`~repro.telemetry.health.plane` — the :class:`HealthPlane` that
-  ties it together and hangs off a registry (``plane.attach(registry)``);
-- :mod:`~repro.telemetry.health.tower` — the control tower:
-  ``python -m repro ops`` renders the live dashboard (statuses, burning
-  SLOs, hot join points, pipelines) with ``--json`` for scripts.
+  ties it together and hangs off a registry (``plane.attach(registry)``).
+
+The control tower, ``python -m repro obs storm|load|PATH --view tower``
+(:mod:`repro.telemetry.obs`), renders the plane's records and its
+``health`` record: statuses, cause chains, burning SLOs, pipelines and
+hot join points, with ``--format json`` for scripts.
 
 Quick use::
 
@@ -38,7 +40,7 @@ Quick use::
     plane.attach(platform.enable_telemetry())
     plane.start(platform.simulator)       # periodic burn evaluation
     ...                                   # run the scenario
-    print(plane.report().render())
+    print(plane.report().overall)         # healthy / degraded / critical
 """
 
 from repro.telemetry.health.model import (

@@ -51,16 +51,6 @@ class Cause:
             out["causes"] = [c.to_dict() for c in self.causes]
         return out
 
-    def render(self, indent: int = 0) -> list[str]:
-        pad = "  " * indent
-        head = f"{pad}{self.kind}[{self.subject}]"
-        if self.detail:
-            head += f": {self.detail}"
-        lines = [head]
-        for cause in self.causes:
-            lines.extend(cause.render(indent + 1))
-        return lines
-
 
 @dataclass(frozen=True)
 class Condition:
@@ -113,24 +103,6 @@ class HealthReport:
             "slos": self.slos,
             "alerts": self.alerts,
         }
-
-    def render(self) -> str:
-        """Multi-line human form (the tower embeds this)."""
-        lines = [f"overall: {self.overall.upper()}  (t={self.time:.1f}s)"]
-        for subsystem, status in sorted(self.subsystems.items()):
-            lines.append(f"  {subsystem:<14} {status}")
-        problems = [c for c in self.conditions if c.status != "healthy"]
-        if problems:
-            lines.append("conditions:")
-            for condition in problems:
-                lines.append(
-                    f"  [{condition.status}] {condition.subsystem}: "
-                    f"{condition.summary}"
-                )
-                if condition.cause is not None:
-                    for cause_line in condition.cause.render(indent=2):
-                        lines.append(cause_line)
-        return "\n".join(lines)
 
 
 #: A probe yields zero or more conditions when polled.

@@ -188,13 +188,6 @@ class WindowedBuckets(_SlidingRing):
         self.count_total += 1
         self.sum_total += value
 
-    def observe_bucket(self, now: float, bucket: int, amount: int = 1) -> None:
-        """Fold pre-bucketed counts (e.g. merged from a histogram delta)."""
-        slot = self._slot(now)
-        self._counts[slot][bucket] += amount
-        self._totals[bucket] += amount
-        self.count_total += amount
-
     def count(self, now: float) -> int:
         """Observations currently inside the window."""
         self._slot(now)

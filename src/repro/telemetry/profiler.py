@@ -22,8 +22,8 @@ profiler wraps advice callbacks at weave time, between the sandbox and
 the containment barrier, so containment still sees (and may suppress)
 advice failures while the profiler still observes their duration.
 
-``python -m repro telemetry profile`` runs the demo scenario under a
-profiler and renders :meth:`JoinPointProfiler.report`.
+``python -m repro obs --view profile`` runs the demo scenario under a
+profiler and renders its ``profile`` and ``weave_cost`` records.
 """
 
 from __future__ import annotations
@@ -226,39 +226,6 @@ class JoinPointProfiler:
         records: list[dict[str, Any]] = [e.to_record() for e in self.entries()]
         records.extend(c.to_record() for c in self.weave_costs())
         return records
-
-    def report(self, limit: int | None = None) -> str:
-        """A human-readable profile table, hottest entries first."""
-        lines = ["join-point profile (hottest first)", ""]
-        entries = self.entries()
-        if limit is not None:
-            entries = entries[:limit]
-        if not entries:
-            lines.append("  (no advice dispatches profiled)")
-        else:
-            header = (
-                f"  {'joinpoint':<32} {'extension':<20} {'calls':>7} "
-                f"{'mean':>10} {'max':>10} {'errors':>7}  exemplar"
-            )
-            lines.append(header)
-            lines.append("  " + "-" * (len(header) - 2))
-            for entry in entries:
-                exemplar = entry.exemplar_trace or "-"
-                lines.append(
-                    f"  {entry.joinpoint:<32} {entry.extension:<20} "
-                    f"{entry.count:>7} {entry.mean * 1e6:>8.1f}µs "
-                    f"{entry.maximum * 1e6:>8.1f}µs {entry.errors:>7}  {exemplar}"
-                )
-        costs = self.weave_costs()
-        if costs:
-            lines.append("")
-            lines.append("weave cost")
-            for cost in costs:
-                lines.append(
-                    f"  {cost.vm:<12} {cost.operation:<12} n={cost.count:<4} "
-                    f"total={cost.total * 1e3:.3f}ms mean={cost.mean * 1e6:.1f}µs"
-                )
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return (

@@ -92,7 +92,7 @@ class MetricsRegistry(Recorder):
         self.events: deque[TelemetryEvent] = deque(maxlen=max_events)
         self.spans: deque[Span] = deque(maxlen=max_spans)
         #: Events/spans silently evicted past the retention cap — surfaced
-        #: by ``telemetry summary`` so "the export looks fine" can't hide
+        #: by the summary view so "the export looks fine" can't hide
         #: a truncated record of a long run.
         self.dropped_events = 0
         self.dropped_spans = 0

@@ -122,7 +122,7 @@ class TestAdaptationFlow:
         assert hall_view["catalog"] == ["trace"]
         assert hall_view["adapted_nodes"] == ["robot"]
         robot_view = summary["mobile_nodes"]["robot"]
-        assert robot_view["extensions"] == ["trace"]
+        assert [ext["name"] for ext in robot_view["extensions"]] == ["trace"]
         assert robot_view["interceptions"] >= 1
 
     def test_replace_extension_propagates(self, platform):

@@ -112,7 +112,10 @@ def run_lifecycle(seed: int):
             "flight": [(e.node, e.kind, e.time) for e in final],
         }
     finally:
-        export_artifacts(f"chaos-lifecycle-{seed}", registry)
+        export_artifacts(
+            f"chaos-lifecycle-{seed}",
+            lambda: platform.to_records() + registry.to_records(),
+        )
         platform.disable_telemetry()
 
 

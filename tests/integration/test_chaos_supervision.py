@@ -135,7 +135,10 @@ def run_chaos(seed: int) -> dict:
             "flight": [(e.node, e.kind, e.time) for e in timeline],
         }
     finally:
-        export_artifacts(f"chaos-supervision-{seed}", registry)
+        export_artifacts(
+            f"chaos-supervision-{seed}",
+            lambda: platform.to_records() + registry.to_records(),
+        )
         platform.disable_telemetry()
 
 

@@ -36,7 +36,8 @@ def run_scenario(seed: int) -> tuple:
             summary["network"]["transmitted"],
             summary["network"]["delivered"],
             summary["network"]["dropped"],
-            tuple(summary["mobile_nodes"]["node"]["extensions"]),
+            # Names only: lease ids are process-global.
+            tuple(ext["name"] for ext in summary["mobile_nodes"]["node"]["extensions"]),
             summary["mobile_nodes"]["node"]["position"],
             tuple(
                 (record.time, record.action, record.extension)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import pytest
 
 from repro.scenarios.harness import run_storm
-from repro.telemetry.health.tower import ops_storm_spec
+from repro.scenarios.spec import ops_storm_spec
 
 #: Small enough for the suite (~0.5s a run), large enough that the
 #: faulted seed has been verified to fire both roaming SLOs.

@@ -14,7 +14,6 @@ The contract under test (ISSUE 8 acceptance):
 from __future__ import annotations
 
 import logging
-from pathlib import Path
 
 import pytest
 
@@ -28,6 +27,7 @@ from repro.scenarios import (
     run_storm,
     soak,
 )
+from repro.telemetry.obs import storm_records
 from tests.support import export_artifacts
 
 #: The acceptance seeds: each must replay identically.
@@ -40,8 +40,10 @@ def run_cached(spec: StormSpec) -> StormReport:
     """Run ``spec`` once per session; on violations, ship the black box.
 
     When ``REPRO_ARTIFACTS_DIR`` is set (the CI scenarios job), a dirty
-    run exports its telemetry + flight rings + the spec JSON so the
-    failure can be replayed locally from the artifact.
+    run exports its run artifact: the run record (spec JSON, seed,
+    fingerprint, violations), node records, telemetry with flight rings,
+    and the health plane, so the failure can be read and replayed
+    locally from that one file.
     """
     key = spec.to_json()
     if key not in _cache:
@@ -51,11 +53,7 @@ def run_cached(spec: StormSpec) -> StormReport:
             world.monitor.tick()
             report = report_from(world)
             if not report.clean:
-                directory = export_artifacts(f"storms-{spec.name}", world.registry)
-                if directory is not None:
-                    Path(directory, "spec.json").write_text(
-                        spec.to_json() + "\n", encoding="utf-8"
-                    )
+                export_artifacts(f"storms-{spec.name}", lambda: storm_records(world))
             _cache[key] = report
         finally:
             world.close()

@@ -14,33 +14,35 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.aop import Aspect, Capability, MethodCut, REST, before
 from repro.aop.advice import AdviceKind
 from repro.aop.crosscut import FieldWriteCut
 
 
-def export_artifacts(name: str, registry: Any) -> Path | None:
-    """Write a telemetry JSONL export + per-node flight dumps for triage.
+def export_artifacts(
+    name: str, records: Callable[[], list[dict[str, Any]]]
+) -> Path | None:
+    """Write one run artifact, ``<name>.jsonl``, for triage.
 
-    No-op unless ``REPRO_ARTIFACTS_DIR`` is set: CI sets it for the chaos
-    and supervision jobs and uploads the directory when a job fails, so a
-    red run ships the full causal timeline along with the assertion
-    message.  Locally (unset) this costs nothing.  Returns the directory
-    written, or ``None`` when disabled.
+    No-op unless ``REPRO_ARTIFACTS_DIR`` is set: CI sets it for the chaos,
+    supervision and scenarios jobs and uploads the directory when a job
+    fails, so a red run ships its records (flight rings, spans and node
+    records included), and ``python -m repro obs <name>.jsonl --view
+    inspect|tower|summary`` renders them without a rerun.  ``records``
+    is called only when enabled, so locally (unset) this costs nothing.
+    Returns the file written, or ``None`` when disabled.
     """
     root = os.environ.get("REPRO_ARTIFACTS_DIR")
-    if not root or registry is None:
+    if not root:
         return None
     from repro.telemetry import write_jsonl
 
-    directory = Path(root) / name
-    directory.mkdir(parents=True, exist_ok=True)
-    write_jsonl(registry, directory / "telemetry.jsonl")
-    if getattr(registry, "flight", None) is not None:
-        registry.flight.dump_all(directory)
-    return directory
+    path = Path(root) / f"{name}.jsonl"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_jsonl(records(), path)
+    return path
 
 
 class Engine:

@@ -72,13 +72,14 @@ class TestDroppedCountsSurface:
 
 class TestCliPromFormat:
     def test_summary_format_prom(self, tmp_path, capsys):
-        from repro.telemetry.cli import main
         from repro.telemetry.export import write_jsonl
+        from repro.telemetry.obs import main
 
         registry = MetricsRegistry()
         registry.count("midas.renewals", node="n1")
         path = tmp_path / "export.jsonl"
         write_jsonl(registry, path)
-        assert main(["summary", str(path), "--format", "prom"]) == 0
+        assert main([str(path), "--format", "prom"]) == 0
         out = capsys.readouterr().out
         assert "# TYPE midas_renewals_total counter" in out
+        assert 'midas_renewals_total{node="n1"} 1.0' in out

@@ -200,9 +200,12 @@ class TestModel:
         for _ in range(4):
             registry.count("midas.failures", node="n3")
         plane.tick()
-        text = plane.report().render()
+        from repro.telemetry.obs import health_records, render_tower, tower_view
+
+        text = render_tower(tower_view(health_records(plane)))
         assert "CRITICAL" in text
         assert "slo.burn[renewals]" in text
+        assert "sample[n3]" in text
 
     def test_to_records_merges_rollups_and_slos(self, registry):
         plane = _plane().attach(registry)

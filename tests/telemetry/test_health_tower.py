@@ -1,4 +1,5 @@
-"""The control tower: snapshot shape, rendering, and the CLI gate."""
+"""The control tower view of ``python -m repro obs``: its shape, its
+rendering, and the ``--expect`` gate."""
 
 from __future__ import annotations
 
@@ -13,11 +14,13 @@ from repro.telemetry.health import (
     RollupRule,
     SLO,
 )
-from repro.telemetry.health.tower import (
+from repro.scenarios.spec import ops_storm_spec
+from repro.telemetry.obs import (
+    health_records,
     main,
-    ops_storm_spec,
     render_tower,
-    tower_snapshot,
+    tower_view,
+    verdict,
 )
 
 ONE_PAIR = (BurnPair("only", long_window=10.0, short_window=10.0, threshold=2.0),)
@@ -46,41 +49,52 @@ def _plane(burning: bool) -> HealthPlane:
     return plane
 
 
+def tower(plane: HealthPlane) -> dict:
+    """The tower view of a one-plane artifact named "unit"."""
+    return tower_view([{"type": "run", "scenario": "unit"}, *health_records(plane)])
+
+
 class TestTowerSnapshot:
     def test_healthy_snapshot_shape(self):
-        snapshot = tower_snapshot("unit", _plane(burning=False))
-        assert snapshot["scenario"] == "unit"
-        assert snapshot["overall"] == "healthy"
+        snapshot = tower(_plane(burning=False))
+        assert snapshot["run"]["scenario"] == "unit"
+        assert snapshot["report"]["overall"] == "healthy"
         assert snapshot["verdict"] == "healthy"
         assert snapshot["burning"] == []
         assert any(r["type"] == "rollup" for r in snapshot["rollups"])
 
     def test_burning_verdict_is_cumulative(self, sim, registry):
         plane = _plane(burning=True)
-        assert tower_snapshot("unit", plane)["verdict"] == "burning"
+        assert tower(plane)["verdict"] == "burning"
         # Even after recovery the *run* verdict stays burning — the
         # tower judges the run, not the final instant.
         plane.ingest_count(100.0, "midas.renewals", 50.0)
         plane.tick()
-        snapshot = tower_snapshot("unit", plane)
+        snapshot = tower(plane)
         assert snapshot["report"]["overall"] == "healthy"
         assert snapshot["verdict"] == "burning"
         assert snapshot["peak"]["overall"] == "critical"
 
+    def test_verdict_reads_the_alert_records(self):
+        records = health_records(_plane(burning=True))
+        assert verdict(records) == "burning"
+        assert verdict([r for r in records if r["type"] != "slo_alert"]) == "healthy"
+
     def test_render_mentions_the_burn(self):
-        text = render_tower(tower_snapshot("unit", _plane(burning=True)))
+        text = render_tower(tower(_plane(burning=True)))
         assert "BURNING" in text
         assert "renewals" in text
 
     def test_render_healthy(self):
-        text = render_tower(tower_snapshot("unit", _plane(burning=False)))
+        text = render_tower(tower(_plane(burning=False)))
         assert "HEALTHY" in text
 
 
 class TestOpsCli:
     def test_load_json_healthy(self):
         lines: list[str] = []
-        code = main(["load", "--json", "--expect", "healthy"], out=lines.append)
+        argv = ["load", "--format", "json", "--expect", "healthy"]
+        code = main(argv, out=lines.append)
         assert code == 0
         snapshot = json.loads("\n".join(lines))
         assert snapshot["verdict"] == "healthy"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.aop import ProseVM
 from repro.telemetry import JoinPointProfiler, MetricsRegistry, runtime
+from repro.telemetry.obs import render_profile
 from repro.telemetry.profiler import ProfileEntry
 
 from tests.support import Engine, TraceAspect, fresh_class
@@ -118,13 +119,14 @@ class TestWeaveCost:
 class TestReport:
     def test_report_lists_entries_and_costs(self, profiled_vm):
         run_workload(profiled_vm, TraceAspect(method_pattern="throttle"), calls=3)
-        report = profiled_vm.profiler.report()
+        report = render_profile(profiled_vm.profiler.to_records())
         assert "Engine.throttle" in report
         assert "TraceAspect" in report
         assert "weave cost" in report
 
     def test_empty_report(self):
-        assert "no advice dispatches" in JoinPointProfiler().report()
+        report = render_profile(JoinPointProfiler().to_records())
+        assert "no advice dispatches" in report
 
     def test_to_records_round_trip_shape(self, profiled_vm):
         run_workload(profiled_vm, TraceAspect(), calls=2)
